@@ -17,10 +17,7 @@
  * checked-in bench/baseline_micro_kernels.json and exits non-zero on
  * a regression (the perf gate wired into CI's perf-smoke job).
  *
- * Flags: --scale=F --grid=N --threads=N --simd=0|1 --quick
- *        --json=FILE
- * The --simd flag (default: AZUL_SIMD env, else on) pins
- * SimConfig::simd so the scalar fallback can be measured directly.
+ * Flags: --scale=F --grid=N --threads=N --quick --json=FILE
  */
 #include <algorithm>
 #include <chrono>
@@ -51,7 +48,6 @@ struct MicroArgs {
     double scale = 1.0;
     std::int32_t grid = 8;
     std::int32_t threads = 0; //!< 0 = resolved from env below
-    bool simd = true;
     bool quick = false;
     std::string json_path; //!< empty = no JSON emission
 
@@ -59,7 +55,6 @@ struct MicroArgs {
     Parse(int argc, char** argv)
     {
         MicroArgs args;
-        args.simd = SimdFromEnv(true);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg.rfind("--scale=", 0) == 0) {
@@ -70,8 +65,6 @@ struct MicroArgs {
             } else if (arg.rfind("--threads=", 0) == 0) {
                 args.threads = static_cast<std::int32_t>(
                     std::stol(arg.substr(10)));
-            } else if (arg.rfind("--simd=", 0) == 0) {
-                args.simd = std::stol(arg.substr(7)) != 0;
             } else if (arg.rfind("--json=", 0) == 0) {
                 args.json_path = arg.substr(7);
             } else if (arg == "--quick") {
@@ -173,9 +166,8 @@ WriteJson(const std::string& path, const MicroArgs& args,
     std::fprintf(f, "{\n  \"bench\": \"micro_kernels\",\n");
     std::fprintf(f,
                  "  \"config\": {\"scale\": %.6g, \"grid\": %d, "
-                 "\"threads\": %d, \"simd\": %s, \"quick\": %s},\n",
+                 "\"threads\": %d, \"quick\": %s},\n",
                  args.scale, args.grid, args.threads,
-                 args.simd ? "true" : "false",
                  args.quick ? "true" : "false");
     std::fprintf(f, "  \"kernels\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -202,10 +194,8 @@ main(int argc, char** argv)
                 "=========================\n");
     std::printf("micro-kernels: host throughput of the hot "
                 "simulation paths\n");
-    std::printf("config: scale=%.2f grid=%dx%d host-threads=%d "
-                "simd=%d\n",
-                args.scale, args.grid, args.grid, args.threads,
-                args.simd ? 1 : 0);
+    std::printf("config: scale=%.2f grid=%dx%d host-threads=%d\n",
+                args.scale, args.grid, args.grid, args.threads);
     std::printf("---------------------------------------------------"
                 "-------------------------\n");
 
@@ -234,7 +224,6 @@ main(int argc, char** argv)
     cfg.grid_width = args.grid;
     cfg.grid_height = args.grid;
     cfg.sim_threads = args.threads;
-    cfg.simd = args.simd;
 
     const Vector b = RandomVec(cm.a.rows(), 0xb0b);
     const Vector p = RandomVec(cm.a.rows(), 0x9e3);

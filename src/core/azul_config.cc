@@ -63,76 +63,12 @@ SolverSpec::ToString() const
     return oss.str();
 }
 
-StatusOr<SolverSpec>
-AzulOptions::ResolvedSpec() const
-{
-    const SolverSpec spec_defaults;
-    const AzulOptions flat_defaults;
-    SolverSpec merged = spec;
-    std::ostringstream conflict;
-
-    // One merge rule per deprecated flat alias: a flat field changed
-    // from its default is adopted when the spec field is still at its
-    // default; both changed to different values is a conflict.
-    const auto merge = [&](auto& out, const auto& spec_value,
-                           const auto& spec_default,
-                           const auto& flat_value,
-                           const auto& flat_default,
-                           const char* flat_name,
-                           const char* spec_name, auto&& print) {
-        if (flat_value == flat_default) {
-            return true; // flat untouched; spec (or default) wins
-        }
-        if (spec_value == spec_default || spec_value == flat_value) {
-            out = flat_value;
-            return true;
-        }
-        conflict << "deprecated flat field '" << flat_name
-                 << "' conflicts with spec." << spec_name << " ("
-                 << print(flat_value) << " vs " << print(spec_value)
-                 << "); set only spec." << spec_name;
-        return false;
-    };
-    const auto raw = [](const auto& v) { return v; };
-
-    if (!merge(merged.method, spec.method, spec_defaults.method,
-               solver, flat_defaults.solver, "solver", "method",
-               [](SolverKind k) { return SolverKindName(k); }) ||
-        !merge(merged.jacobi_omega, spec.jacobi_omega,
-               spec_defaults.jacobi_omega, jacobi_omega,
-               flat_defaults.jacobi_omega, "jacobi_omega",
-               "jacobi_omega", raw) ||
-        !merge(merged.precond, spec.precond, spec_defaults.precond,
-               precond, flat_defaults.precond, "precond", "precond",
-               [](PreconditionerKind k) {
-                   return PreconditionerKindName(k);
-               }) ||
-        !merge(merged.ssor_omega, spec.ssor_omega,
-               spec_defaults.ssor_omega, ssor_omega,
-               flat_defaults.ssor_omega, "ssor_omega", "ssor_omega",
-               raw) ||
-        !merge(merged.tol, spec.tol, spec_defaults.tol, tol,
-               flat_defaults.tol, "tol", "tol", raw) ||
-        !merge(merged.max_iters, spec.max_iters,
-               spec_defaults.max_iters, max_iters,
-               flat_defaults.max_iters, "max_iters", "max_iters",
-               raw)) {
-        return InvalidArgument(conflict.str());
-    }
-    return merged;
-}
-
 std::string
 AzulOptions::ToString() const
 {
-    // Print the merged solver spec so the summary reflects what Create
-    // would actually run; an unresolved conflict falls back to the
-    // nested spec (Create will reject it with the full message).
-    const StatusOr<SolverSpec> resolved = ResolvedSpec();
-    const SolverSpec& s = resolved.ok() ? *resolved : spec;
     std::ostringstream oss;
     oss << sim.ToString() << ", engine=" << EngineKindName(engine)
-        << ", solver_spec{" << s.ToString() << "}"
+        << ", solver_spec{" << spec.ToString() << "}"
         << ", mapper=" << MapperKindName(mapper)
         << (color_and_permute ? ", colored" : ", uncolored")
         << (graph.use_trees ? ", trees" : ", p2p");
@@ -191,10 +127,6 @@ ApplyEnvOverrides(AzulOptions& opts)
             opts.warm_start = false;
         }
     }
-
-    // SIMD elementwise kernels: results are bit-identical either way
-    // (util/simd.h), so this only trades host speed for debuggability.
-    opts.sim.simd = SimdFromEnv(opts.sim.simd);
 
     // Malformed AZUL_FAULTS specs are rejected atomically inside.
     ApplyFaultEnv(opts.sim);

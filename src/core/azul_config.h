@@ -23,10 +23,7 @@ namespace azul {
 /**
  * What to solve and how: iterative method, preconditioner, working
  * precision, and convergence controls, validated as one unit by
- * AzulSystem::Create (docs/SOLVERS.md). This nested spec replaces the
- * flat solver/precond/tol/... fields on AzulOptions, which remain as
- * deprecated aliases for one release (docs/API.md, "Deprecation
- * policy").
+ * AzulSystem::Create (docs/SOLVERS.md).
  */
 struct SolverSpec {
     /** Iterative method the system compiles and runs. */
@@ -90,22 +87,6 @@ struct AzulOptions {
      * convergence); validated as one unit by AzulSystem::Create.
      */
     SolverSpec spec;
-    /**
-     * DEPRECATED flat aliases of the SolverSpec fields, kept for one
-     * release (docs/API.md, "Deprecation policy"); removal planned
-     * for the next release. A flat field changed from its default is
-     * adopted into the spec by ResolvedSpec(); setting both a flat
-     * field and its spec counterpart to conflicting values is a
-     * kInvalidArgument at Create. New code sets `spec` directly.
-     */
-    SolverKind solver = SolverKind::kPcg;
-    /** DEPRECATED: use spec.jacobi_omega. */
-    double jacobi_omega = 2.0 / 3.0;
-    /** DEPRECATED: use spec.precond. */
-    PreconditionerKind precond =
-        PreconditionerKind::kIncompleteCholesky;
-    /** DEPRECATED: use spec.ssor_omega. */
-    double ssor_omega = 1.0;
     /** Graph-coloring preprocessing (Sec II-A); on by default, as in
      *  all the paper's results. */
     bool color_and_permute = true;
@@ -125,17 +106,13 @@ struct AzulOptions {
      * When set, the mapping step first looks up the content-hash key
      * of (matrix structure, mapper, options) and reuses a stored
      * mapping on a hit; misses compute and persist. Empty string
-     * falls back to the AZUL_MAPPING_CACHE environment variable, and
-     * if that is unset too, caching is disabled. Ignored when
-     * precomputed_mapping is given.
+     * disables caching; ApplyEnvOverrides fills it from the
+     * AZUL_MAPPING_CACHE environment variable when empty. Ignored
+     * when precomputed_mapping is given.
      */
     std::string mapping_cache_dir;
     /** Kernel-compiler options (multicast trees vs point-to-point). */
     GraphOptions graph;
-    /** DEPRECATED: use spec.tol. */
-    double tol = 1e-8;
-    /** DEPRECATED: use spec.max_iters. */
-    Index max_iters = 1000;
     /**
      * Time-stepping controls (docs/TIMESTEPPING.md). When warm_start
      * is true, each Solve after the first starts from the session's
@@ -169,17 +146,6 @@ struct AzulOptions {
      * oversubscribe on purpose.
      */
     bool strict_sram_fit = false;
-
-    /**
-     * Merges the deprecated flat solver fields into `spec` and
-     * returns the result: a flat field changed from its default wins
-     * over a spec field still at its default (so legacy callers keep
-     * working unchanged); a flat field and its spec counterpart both
-     * changed to *different* values is a kInvalidArgument. Does not
-     * run SolverSpec::Validate() — Create does that on the merged
-     * spec.
-     */
-    StatusOr<SolverSpec> ResolvedSpec() const;
 
     std::string ToString() const;
 };

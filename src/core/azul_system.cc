@@ -129,27 +129,11 @@ StatusOr<AzulSystem>
 AzulSystem::Create(CsrMatrix a, AzulOptions options)
 {
     AZUL_RETURN_IF_ERROR(ValidateCreate(a, options));
-    // Merge the deprecated flat solver fields into the nested spec
-    // and validate the result as one unit.
-    StatusOr<SolverSpec> resolved = options.ResolvedSpec();
-    if (!resolved.ok()) {
-        return resolved.status();
-    }
-    AZUL_RETURN_IF_ERROR(resolved->Validate());
+    AZUL_RETURN_IF_ERROR(options.spec.Validate());
     AzulSystem sys;
     sys.options_ = std::move(options);
-    // The merged spec is the single source of truth from here on;
-    // mirror it back into the deprecated flat aliases so legacy
-    // readers of options() observe consistent values.
-    sys.options_.spec = *resolved;
-    sys.options_.solver = resolved->method;           // deprecated-alias-shim
-    sys.options_.jacobi_omega = resolved->jacobi_omega; // deprecated-alias-shim
-    sys.options_.precond = resolved->precond;         // deprecated-alias-shim
-    sys.options_.ssor_omega = resolved->ssor_omega;   // deprecated-alias-shim
-    sys.options_.tol = resolved->tol;                 // deprecated-alias-shim
-    sys.options_.max_iters = resolved->max_iters;     // deprecated-alias-shim
     // The working precision rides into the engines on SimConfig.
-    sys.options_.sim.precision = resolved->precision;
+    sys.options_.sim.precision = sys.options_.spec.precision;
     try {
         sys.Init(std::move(a));
     } catch (const AzulError& e) {
@@ -220,9 +204,7 @@ AzulSystem::Init(CsrMatrix a)
         mopts.grid_width = options_.sim.grid_width;
         mopts.grid_height = options_.sim.grid_height;
         const auto mapper = MakeMapper(options_.mapper, mopts);
-        MappingCache cache(options_.mapping_cache_dir.empty()
-                               ? MappingCache::DirFromEnv()
-                               : options_.mapping_cache_dir);
+        MappingCache cache(options_.mapping_cache_dir);
         const std::uint64_t key =
             cache.enabled()
                 ? MappingCacheKey(prob, mapper->name(),

@@ -49,8 +49,8 @@ struct ScalarOp {
  * that would waste the fabric (the paper's Sec II-C division of
  * labor: the accelerator runs the sparse/vector kernels, the host
  * runs tiny dense solves). Both engines execute the identical serial
- * FP64 routine (`sim/host_ops.h`), so host ops preserve the
- * bit-identity contract.
+ * FP64 routine (`phase::Host` in sim/phase_semantics.h), so host ops
+ * preserve the bit-identity contract.
  */
 struct HostOp {
     enum class Kind : std::uint8_t {

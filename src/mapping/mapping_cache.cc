@@ -1,6 +1,5 @@
 #include "mapping/mapping_cache.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -112,13 +111,6 @@ MappingCacheKey(const MappingProblem& prob,
     h.Pod(p.big_edge_threshold);
     h.Pod(p.seed);
     return h.value();
-}
-
-std::string
-MappingCache::DirFromEnv()
-{
-    const char* dir = std::getenv("AZUL_MAPPING_CACHE");
-    return dir != nullptr ? std::string(dir) : std::string();
 }
 
 std::string

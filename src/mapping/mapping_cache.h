@@ -21,9 +21,10 @@
  * not algorithm *code* — after changing partitioner/mapper internals,
  * stale caches must be deleted manually (see docs/MAPPING.md).
  *
- * The directory comes from the explicit constructor argument or the
- * AZUL_MAPPING_CACHE environment variable; an empty directory string
- * disables the cache (every call is a pass-through miss).
+ * The directory comes from the constructor argument
+ * (AzulOptions::mapping_cache_dir, which ApplyEnvOverrides fills from
+ * AZUL_MAPPING_CACHE); an empty directory string disables the cache
+ * (every call is a pass-through miss).
  */
 #ifndef AZUL_MAPPING_MAPPING_CACHE_H_
 #define AZUL_MAPPING_MAPPING_CACHE_H_
@@ -61,9 +62,6 @@ class MappingCache {
   public:
     /** Empty dir disables the cache. */
     explicit MappingCache(std::string dir) : dir_(std::move(dir)) {}
-
-    /** AZUL_MAPPING_CACHE env var, or "" when unset. */
-    static std::string DirFromEnv();
 
     bool enabled() const { return !dir_.empty(); }
     const std::string& dir() const { return dir_; }

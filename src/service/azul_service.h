@@ -52,8 +52,8 @@ struct ServiceOptions {
     /**
      * Shared persistent mapping-cache directory for every session
      * (AzulOptions::mapping_cache_dir semantics). Sessions that set
-     * their own directory keep it; empty = each session falls back to
-     * AZUL_MAPPING_CACHE.
+     * their own directory keep it; empty = sessions use their own
+     * setting (ApplyEnvOverrides fills it from AZUL_MAPPING_CACHE).
      */
     std::string mapping_cache_dir;
     /** Default simulated-cycle budget for requests that leave

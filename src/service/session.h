@@ -115,15 +115,19 @@ struct Request {
 class Session {
   public:
     Session(SessionId id, std::string name, AzulSystem system)
-        : id_(id), name_(std::move(name)), system_(std::move(system))
+        : id_(id), name_(std::move(name)),
+          rows_(system.matrix().rows()), system_(std::move(system))
     {
     }
 
     SessionId id() const { return id_; }
     const std::string& name() const { return name_; }
 
-    /** Rows of the session matrix (rhs length validation). */
-    Index rows() const { return system_.matrix().rows(); }
+    /** Rows of the session matrix (rhs length validation). A copy
+     *  taken at open, so Submit reads it without the session lock
+     *  while a worker updates the matrix: both update paths reject a
+     *  resize, so it never changes. */
+    Index rows() const { return rows_; }
 
     /** Mapping-cache lookups during session construction. */
     int mapping_cache_hits() const
@@ -223,6 +227,7 @@ class Session {
   private:
     const SessionId id_;
     const std::string name_;
+    const Index rows_;
     AzulSystem system_;
 
     mutable std::mutex mu_;

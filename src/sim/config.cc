@@ -84,9 +84,6 @@ SimConfig::ToString() const
     if (sim_threads > 1) {
         oss << ", host-threads=" << sim_threads;
     }
-    if (!simd) {
-        oss << ", no-simd";
-    }
     if (precision == PrecisionMode::kFp32) {
         oss << ", fp32-iterates";
     }
@@ -278,23 +275,6 @@ SimThreadsFromEnv(std::int32_t fallback)
         return fallback;
     }
     return static_cast<std::int32_t>(v);
-}
-
-bool
-SimdFromEnv(bool fallback)
-{
-    const char* env = std::getenv("AZUL_SIMD");
-    if (env == nullptr || *env == '\0') {
-        return fallback;
-    }
-    const std::string v(env);
-    if (v == "1" || v == "true" || v == "on") {
-        return true;
-    }
-    if (v == "0" || v == "false" || v == "off") {
-        return false;
-    }
-    return fallback;
 }
 
 } // namespace azul

@@ -207,15 +207,6 @@ struct SimConfig {
      * Tests lower it to 1 to force parallel execution on tiny grids.
      */
     std::int32_t sim_parallel_grain = 64;
-    /**
-     * Use the SIMD-annotated elementwise kernels (util/simd.h) in
-     * both engines; false falls back to the plain scalar loops. Both
-     * paths perform identical FP64 operations per element, so results
-     * are bit-identical either way — this is purely a host-perf /
-     * debugging knob (docs/PERFORMANCE.md). Overridable via the
-     * AZUL_SIMD env var (ApplyEnvOverrides, SimdFromEnv).
-     */
-    bool simd = true;
 
     std::int32_t num_tiles() const { return grid_width * grid_height; }
     TorusGeometry
@@ -252,13 +243,6 @@ SimConfig IdealPeConfig(const SimConfig& base);
  * reproduction can be parallelized without touching its command line.
  */
 std::int32_t SimThreadsFromEnv(std::int32_t fallback);
-
-/**
- * SIMD toggle from the AZUL_SIMD environment variable ("1"/"true"/
- * "on" or "0"/"false"/"off"), or `fallback` if unset/invalid —
- * mirroring SimThreadsFromEnv's ignore-invalid policy.
- */
-bool SimdFromEnv(bool fallback);
 
 /**
  * Applies a fault-injection spec string to a config. The format is a

@@ -20,188 +20,18 @@
  */
 #include "sim/engine_functional.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "sim/host_ops.h"
-#include "sim/observer.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace azul {
 
 FunctionalEngine::FunctionalEngine(SimConfig cfg,
                                    const SolverProgram* program)
-    : cfg_(std::move(cfg)), prog_(program), geom_(cfg_.geometry())
+    : ExecutionEngine(std::move(cfg), program)
 {
-    AZUL_CHECK(prog_ != nullptr);
-    AZUL_CHECK_MSG(geom_.num_tiles() ==
-                       static_cast<std::int32_t>(
-                           prog_->geom.num_tiles()),
-                   "program compiled for a different machine size");
-    AZUL_CHECK_MSG(geom_.wrap == prog_->geom.wrap,
-                   "program compiled for a different topology "
-                   "(torus vs mesh)");
     AZUL_CHECK_MSG(!cfg_.faults_enabled(),
                    "the functional engine does not model fault "
                    "injection; use the cycle engine");
-
-    // Identical slot sharding to Machine, flattened tile-major: tile
-    // t's flat range lists its homed slots in ascending global order,
-    // so per-tile slot order — which fixes the dot-partial fold
-    // order — matches the cycle engine by construction.
-    const Index n = static_cast<Index>(prog_->vec_tile.size());
-    const auto num_tiles = static_cast<std::size_t>(geom_.num_tiles());
-    tile_begin_.assign(num_tiles + 1, 0);
-    for (Index i = 0; i < n; ++i) {
-        ++tile_begin_[static_cast<std::size_t>(
-                          prog_->vec_tile[static_cast<std::size_t>(
-                              i)]) +
-                      1];
-    }
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-        tile_begin_[t + 1] += tile_begin_[t];
-    }
-    slot_flat_.assign(static_cast<std::size_t>(n), -1);
-    std::vector<std::int32_t> cursor(tile_begin_.begin(),
-                                     tile_begin_.end() - 1);
-    for (Index i = 0; i < n; ++i) {
-        slot_flat_[static_cast<std::size_t>(i)] =
-            cursor[static_cast<std::size_t>(
-                prog_->vec_tile[static_cast<std::size_t>(i)])]++;
-    }
-    for (auto& v : vecs_) {
-        v.assign(static_cast<std::size_t>(n), 0.0);
-    }
-    bank_.assign(static_cast<std::size_t>(prog_->num_bank_vectors),
-                 std::vector<double>(static_cast<std::size_t>(n),
-                                     0.0));
-    scalar_bank_.assign(
-        static_cast<std::size_t>(prog_->num_bank_scalars), 0.0);
-    if (!prog_->jacobi_inv_diag.empty()) {
-        inv_diag_.assign(static_cast<std::size_t>(n), 0.0);
-        for (Index i = 0; i < n; ++i) {
-            inv_diag_[static_cast<std::size_t>(
-                slot_flat_[static_cast<std::size_t>(i)])] =
-                prog_->jacobi_inv_diag[static_cast<std::size_t>(i)];
-        }
-    }
-
-    std::vector<std::int32_t> all_tiles(num_tiles);
-    for (std::int32_t t = 0; t < geom_.num_tiles(); ++t) {
-        all_tiles[static_cast<std::size_t>(t)] = t;
-    }
-    scalar_tree_ = BuildTorusTree(geom_, 0, all_tiles);
-    scalar_tree_children_ = scalar_tree_.Children();
-
-    scratch_.resize(num_tiles);
-}
-
-// ---------------------------------------------------------------------------
-// Storage plumbing (flat tile-major layout; see engine_functional.h)
-// ---------------------------------------------------------------------------
-
-double
-FunctionalEngine::ReadSlot(VecName vec, Index slot) const
-{
-    return vecs_[static_cast<std::size_t>(vec)]
-        [static_cast<std::size_t>(
-            slot_flat_[static_cast<std::size_t>(slot)])];
-}
-
-void
-FunctionalEngine::WriteSlot(VecName vec, Index slot, double value)
-{
-    vecs_[static_cast<std::size_t>(vec)][static_cast<std::size_t>(
-        slot_flat_[static_cast<std::size_t>(slot)])] = value;
-}
-
-Vector
-FunctionalEngine::GatherVector(VecName which) const
-{
-    Vector out(prog_->vec_tile.size(), 0.0);
-    for (Index i = 0; i < static_cast<Index>(out.size()); ++i) {
-        out[static_cast<std::size_t>(i)] = ReadSlot(which, i);
-    }
-    return out;
-}
-
-void
-FunctionalEngine::ScatterVector(VecName which, const Vector& v)
-{
-    AZUL_CHECK(v.size() == prog_->vec_tile.size());
-    for (Index i = 0; i < static_cast<Index>(v.size()); ++i) {
-        WriteSlot(which, i, v[static_cast<std::size_t>(i)]);
-    }
-}
-
-void
-FunctionalEngine::LoadProblem(const Vector& b)
-{
-    for (auto& v : vecs_) {
-        std::fill(v.begin(), v.end(), 0.0);
-    }
-    for (auto& v : bank_) {
-        std::fill(v.begin(), v.end(), 0.0);
-    }
-    ScatterVector(VecName::kB, b);
-    ScatterVector(VecName::kR, b);
-    scalar_regs_.fill(0.0);
-    std::fill(scalar_bank_.begin(), scalar_bank_.end(), 0.0);
-    stats_ = SimStats{};
-}
-
-double
-FunctionalEngine::ReadScalar(ScalarReg reg) const
-{
-    return scalar_regs_[static_cast<std::size_t>(reg)];
-}
-
-// ---------------------------------------------------------------------------
-// Robustness hooks (checkpoints are host-side state snapshots; they
-// work identically to the cycle engine's)
-// ---------------------------------------------------------------------------
-
-MachineCheckpoint
-FunctionalEngine::CaptureCheckpoint(Index iteration)
-{
-    MachineCheckpoint ck;
-    ck.iteration = iteration;
-    for (std::size_t v = 0;
-         v < static_cast<std::size_t>(VecName::kCount); ++v) {
-        ck.vecs[v] = GatherVector(static_cast<VecName>(v));
-    }
-    ck.scalar_regs = scalar_regs_;
-    ++stats_.checkpoints;
-    for (SimObserver* o : observers_) {
-        o->OnCheckpointTaken(iteration, clock_);
-    }
-    return ck;
-}
-
-void
-FunctionalEngine::RestoreCheckpoint(const MachineCheckpoint& checkpoint,
-                                    Index from_iteration)
-{
-    for (std::size_t v = 0;
-         v < static_cast<std::size_t>(VecName::kCount); ++v) {
-        ScatterVector(static_cast<VecName>(v), checkpoint.vecs[v]);
-    }
-    scalar_regs_ = checkpoint.scalar_regs;
-    ++stats_.rollbacks;
-    for (SimObserver* o : observers_) {
-        o->OnRollback(from_iteration, checkpoint.iteration, clock_);
-    }
-}
-
-void
-FunctionalEngine::RecordFaultDetected(Index iteration,
-                                      double residual_norm)
-{
-    ++stats_.faults_detected;
-    for (SimObserver* o : observers_) {
-        o->OnFaultDetected(iteration, residual_norm, clock_);
-    }
+    scratch_.resize(static_cast<std::size_t>(geom_.num_tiles()));
 }
 
 // ---------------------------------------------------------------------------
@@ -283,8 +113,8 @@ FunctionalEngine::RecordMatrixKernel(const MatrixKernel& kernel,
     cache.has_rhs = kernel.rhs_vec != VecName::kCount;
 
     // Two flat index spaces: the SoA column-op table (acc_coeff /
-    // acc_val, mirroring the cycle engine's accumulator staging
-    // layout) and the node-fold staging buffer (stage_).
+    // acc_val, in the cycle engine's accumulator staging layout) and
+    // the node-fold staging buffer (stage_).
     TapeRecorder rec;
     rec.acc_base.resize(kernel.tiles.size());
     rec.node_base.resize(kernel.tiles.size());
@@ -564,410 +394,47 @@ FunctionalEngine::RunMatrixKernel(const MatrixKernel& kernel)
     stats_ += cache.delta;
 }
 
-SimStats
-FunctionalEngine::RunMatrixKernelStandalone(int kernel_index)
-{
-    AZUL_CHECK(kernel_index >= 0 &&
-               kernel_index <
-                   static_cast<int>(prog_->matrix_kernels.size()));
-    const MatrixKernel& kernel =
-        prog_->matrix_kernels[static_cast<std::size_t>(kernel_index)];
-    const SimStats before = stats_;
-    if (!observers_.empty()) {
-        PhaseInfo info;
-        info.kind = Phase::Kind::kMatrix;
-        info.kclass = kernel.kclass;
-        info.name = kernel.name;
-        info.index = kernel_index;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseStart(info, clock_);
-        }
-        RunMatrixKernel(kernel);
-        const SimStats delta = stats_ - before;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseEnd(info, clock_, delta);
-        }
-        return delta;
-    }
-    RunMatrixKernel(kernel);
-    return stats_ - before;
-}
-
 // ---------------------------------------------------------------------------
-// Vector / scalar kernels (value semantics of machine_vector.cc, no
-// timing sweeps). Elementwise sweeps run over the whole flat array in
-// one pass — per-element results are order-independent, so the
-// flattening cannot change bits.
+// Vector / scalar / host phases: the shared semantics with no timing.
+// Elementwise kernels sweep the whole flat array in one pass —
+// per-element results are order-independent, so the flattening cannot
+// change bits.
 // ---------------------------------------------------------------------------
 
 void
 FunctionalEngine::RunElementwise(const VectorKernel& kernel)
 {
-    const double base =
-        kernel.scale_bank >= 0
-            ? scalar_bank_[static_cast<std::size_t>(
-                  kernel.scale_bank)]
-            : kernel.use_const_scale
-                  ? kernel.const_scale
-                  : scalar_regs_[static_cast<std::size_t>(
-                        kernel.scale_reg)];
-    const double s = kernel.scale_sign * base;
-    // kScale's guarded reciprocal: a zero divisor yields factor 0
-    // (the Arnoldi lucky-breakdown guard, vector_ops_graph.h).
-    const double factor =
-        kernel.scale_invert ? (s == 0.0 ? 0.0 : 1.0 / s) : s;
-    double* const dst =
-        Operand(kernel.dst, kernel.dst_bank).data();
-    const double* const a =
-        Operand(kernel.src_a, kernel.src_a_bank).data();
-    const double* const b2 =
-        Operand(kernel.src_b, kernel.src_b_bank).data();
-    const std::size_t n =
-        vecs_[static_cast<std::size_t>(VecName::kX)].size();
-    switch (kernel.op) {
-      case VecOpKind::kAxpy:
-        simd::Axpy(dst, a, s, n, cfg_.simd);
-        break;
-      case VecOpKind::kXpby:
-        simd::Xpby(dst, a, s, n, cfg_.simd);
-        break;
-      case VecOpKind::kSub:
-        simd::Sub(dst, a, b2, n, cfg_.simd);
-        break;
-      case VecOpKind::kCopy:
-        simd::Copy(dst, a, n, cfg_.simd);
-        break;
-      case VecOpKind::kDiagScale:
-        simd::Mul(dst, a, inv_diag_.data(), n, cfg_.simd);
-        break;
-      case VecOpKind::kScale:
-        simd::Scale(dst, a, factor, n, cfg_.simd);
-        break;
-      default:
-        throw AzulError("bad elementwise kernel");
-    }
-    // Same per-element accounting as the cycle engine, batched: one
-    // op + two reads + one write per element.
-    const auto n_total = static_cast<std::uint64_t>(n);
-    switch (kernel.op) {
-      case VecOpKind::kAxpy:
-      case VecOpKind::kXpby:
-        stats_.ops.fmac += n_total;
-        break;
-      case VecOpKind::kSub:
-        stats_.ops.add += n_total;
-        break;
-      default:
-        stats_.ops.mul += n_total;
-        break;
-    }
-    stats_.sram_reads += 2 * n_total;
-    stats_.sram_writes += n_total;
+    stats_ += SweepSlots(kernel, ElementwiseScale(kernel), 0,
+                         prog_->vec_tile.size());
 }
 
 void
 FunctionalEngine::RunDotReduce(const VectorKernel& kernel)
 {
-    // Local partials in scalar-tree node order, each summing its own
-    // tile's flat range in slot order; the cross-tile fold is in
-    // ascending node order — the exact fold the cycle engine performs
-    // (machine_vector.cc, "determinism contract"). These chains are
-    // order-sensitive, so they stay serial regardless of cfg.simd.
-    const std::size_t num_nodes = scalar_tree_.size();
-    const double* const a =
-        Operand(kernel.src_a, kernel.src_a_bank).data();
-    const double* const b =
-        Operand(kernel.src_b, kernel.src_b_bank).data();
-    double dot = 0.0;
-    for (std::size_t ni = 0; ni < num_nodes; ++ni) {
-        const auto t = static_cast<std::size_t>(
-            scalar_tree_.tiles[ni]);
-        const std::int32_t begin = tile_begin_[t];
-        const std::int32_t end = tile_begin_[t + 1];
-        double acc = 0.0;
-        for (std::int32_t i = begin; i < end; ++i) {
-            acc += a[i] * b[i];
-        }
-        const auto count = static_cast<std::uint64_t>(end - begin);
-        stats_.ops.fmac += count;
-        stats_.sram_reads += 2 * count;
-        dot += acc;
+    for (std::size_t node = 0; node < scalar_tree_.size(); ++node) {
+        stats_ += DotPartialOfNode(kernel, node);
     }
-    // Tree-edge op accounting (one add + one send per upward edge),
-    // without the arrival-timing sweep.
-    for (std::size_t ni = num_nodes; ni-- > 0;) {
-        for (std::int32_t ci : scalar_tree_children_[ni]) {
-            (void)ci;
-            stats_.ops.Count(OpKind::kAdd);
-            stats_.ops.Count(OpKind::kSend);
-            ++stats_.messages;
-        }
-    }
-
-    // Root post-ops mirror machine_vector.cc: optional sqrt, the
-    // register write (suppressed for dot_out == kCount), and the
-    // scalar-bank landing slot.
-    const double result = kernel.post_sqrt ? std::sqrt(dot) : dot;
-    int broadcast_values = 0;
-    if (kernel.post_sqrt) {
-        stats_.ops.Count(OpKind::kMul);
-    }
-    if (kernel.dot_out != ScalarReg::kCount) {
-        scalar_regs_[static_cast<std::size_t>(kernel.dot_out)] =
-            result;
-        ++broadcast_values;
-    }
-    if (kernel.dot_out_bank >= 0) {
-        scalar_bank_[static_cast<std::size_t>(kernel.dot_out_bank)] =
-            result;
-        ++broadcast_values;
-    }
-    if (broadcast_values == 0) {
-        broadcast_values = 1;
-    }
-    if (kernel.post_divide) {
-        const double num =
-            scalar_regs_[static_cast<std::size_t>(kernel.div_num)];
-        const double q =
-            kernel.divide_dot_by_num ? dot / num : num / dot;
-        scalar_regs_[static_cast<std::size_t>(kernel.div_out)] = q;
-        stats_.ops.Count(OpKind::kMul);
-        ++broadcast_values;
-    }
-    if (kernel.copy_dot_to) {
-        scalar_regs_[static_cast<std::size_t>(kernel.dot_copy_reg)] =
-            dot;
-        ++broadcast_values;
-    }
-    // Broadcast op accounting (per downward edge).
-    for (std::size_t ni = 0; ni < num_nodes; ++ni) {
-        const auto edges = static_cast<std::uint64_t>(
-            scalar_tree_children_[ni].size());
-        stats_.ops.send +=
-            edges * static_cast<std::uint64_t>(broadcast_values);
-        stats_.messages +=
-            edges * static_cast<std::uint64_t>(broadcast_values);
-    }
+    ChargeBroadcast(FoldDot(kernel));
 }
 
 void
 FunctionalEngine::RunScalarPhase(const ScalarOp& op)
 {
-    const auto reg = [this](ScalarReg r) {
-        return scalar_regs_[static_cast<std::size_t>(r)];
-    };
-    double out = 0.0;
-    switch (op.kind) {
-      case ScalarOp::Kind::kCopy:
-        out = reg(op.a);
-        break;
-      case ScalarOp::Kind::kDiv:
-        out = reg(op.a) / reg(op.b);
-        stats_.ops.Count(OpKind::kMul);
-        break;
-      case ScalarOp::Kind::kMulDiv:
-        out = (reg(op.a) / reg(op.b)) * (reg(op.c) / reg(op.d));
-        stats_.ops.Count(OpKind::kMul);
-        stats_.ops.Count(OpKind::kMul);
-        stats_.ops.Count(OpKind::kMul);
-        break;
-    }
-    scalar_regs_[static_cast<std::size_t>(op.out)] = out;
-    // Broadcast op accounting (one send per tree edge).
-    for (std::size_t ni = 0; ni < scalar_tree_.size(); ++ni) {
-        const auto edges = static_cast<std::uint64_t>(
-            scalar_tree_children_[ni].size());
-        stats_.ops.send += edges;
-        stats_.messages += edges;
-    }
+    ChargeBroadcast(phase::Scalar(op, scalar_regs_.data()));
 }
 
 void
 FunctionalEngine::RunHostPhase(const HostOp& op)
 {
-    const double out = RunHostOp(op, scalar_bank_);
-    scalar_regs_[static_cast<std::size_t>(op.out)] = out;
-    // Same op accounting as Machine::RunHostPhase: the dense root
-    // work plus broadcasting y and the residual estimate (1 + m
-    // values per tree edge).
-    stats_.ops.fmac +=
-        static_cast<std::uint64_t>(op.restart) *
-        static_cast<std::uint64_t>(op.restart + 1);
-    const auto values =
-        static_cast<std::uint64_t>(op.restart) + 1;
-    for (std::size_t ni = 0; ni < scalar_tree_.size(); ++ni) {
-        const auto edges = static_cast<std::uint64_t>(
-            scalar_tree_children_[ni].size());
-        stats_.ops.send += edges * values;
-        stats_.messages += edges * values;
-    }
-}
-
-void
-FunctionalEngine::QuantizePhaseDst(const Phase& phase)
-{
-    const auto quantize = [](std::vector<double>& v) {
-        for (double& x : v) {
-            x = static_cast<double>(static_cast<float>(x));
-        }
-    };
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix: {
-        const VecName out =
-            prog_->matrix_kernels[static_cast<std::size_t>(
-                                      phase.matrix_kernel)]
-                .output_vec;
-        if (out != VecName::kX && out != VecName::kB) {
-            quantize(vecs_[static_cast<std::size_t>(out)]);
-        }
-        break;
-      }
-      case Phase::Kind::kVector:
-        if (phase.vec.op == VecOpKind::kDotReduce) {
-            break; // scalars stay FP64
-        }
-        if (phase.vec.dst_bank >= 0) {
-            quantize(bank_[static_cast<std::size_t>(
-                phase.vec.dst_bank)]);
-        } else if (phase.vec.dst != VecName::kX &&
-                   phase.vec.dst != VecName::kB) {
-            quantize(vecs_[static_cast<std::size_t>(phase.vec.dst)]);
-        }
-        break;
-      case Phase::Kind::kScalar:
-      case Phase::Kind::kHost:
-        break;
-    }
-}
-
-void
-FunctionalEngine::RunVectorKernel(const VectorKernel& kernel)
-{
-    if (kernel.op == VecOpKind::kDotReduce) {
-        RunDotReduce(kernel);
-    } else {
-        RunElementwise(kernel);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Program execution (mirrors machine.cc's phase orchestration)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-PhaseInfo
-MakePhaseInfo(const SolverProgram& prog, const Phase& phase, int index)
-{
-    PhaseInfo info;
-    info.kind = phase.kind;
-    info.index = index;
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix: {
-        const MatrixKernel& kernel =
-            prog.matrix_kernels[static_cast<std::size_t>(
-                phase.matrix_kernel)];
-        info.kclass = kernel.kclass;
-        info.name = kernel.name;
-        break;
-      }
-      case Phase::Kind::kVector:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = phase.vec.ToString();
-        break;
-      case Phase::Kind::kScalar:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = "scalar";
-        break;
-      case Phase::Kind::kHost:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = "host-lsq";
-        break;
-    }
-    return info;
-}
-
-} // namespace
-
-void
-FunctionalEngine::RunPhase(const Phase& phase)
-{
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix:
-        RunMatrixKernel(
-            prog_->matrix_kernels[static_cast<std::size_t>(
-                phase.matrix_kernel)]);
-        break;
-      case Phase::Kind::kVector:
-        RunVectorKernel(phase.vec);
-        break;
-      case Phase::Kind::kScalar:
-        RunScalarPhase(phase.scalar);
-        break;
-      case Phase::Kind::kHost:
-        RunHostPhase(phase.host);
-        break;
-    }
-    if (fp32_active_) {
-        QuantizePhaseDst(phase);
-    }
-}
-
-void
-FunctionalEngine::RunPhases(const std::vector<Phase>& phases)
-{
-    if (observers_.empty()) {
-        for (const Phase& phase : phases) {
-            RunPhase(phase);
-        }
-        return;
-    }
-    int index = 0;
-    for (const Phase& phase : phases) {
-        const PhaseInfo info = MakePhaseInfo(*prog_, phase, index++);
-        const SimStats before = stats_;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseStart(info, clock_);
-        }
-        RunPhase(phase);
-        const SimStats delta = stats_ - before;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseEnd(info, clock_, delta);
-        }
-    }
-}
-
-void
-FunctionalEngine::RunPrologue()
-{
-    RunPhases(prog_->prologue);
-}
-
-void
-FunctionalEngine::RunWarmPrologue()
-{
-    RunPhases(prog_->warm_prologue);
+    ChargeBroadcast(phase::Host(op, scalar_regs_.data(), scalar_bank_));
 }
 
 void
 FunctionalEngine::RunIteration()
 {
-    // Quantization applies to the iteration body only — the prologue
-    // and residual_recompute run at full FP64 (see machine.cc).
-    fp32_active_ = cfg_.precision == PrecisionMode::kFp32;
-    RunPhases(prog_->iteration);
-    fp32_active_ = false;
-    // The engine clock ticks once per iteration: RunBudget becomes a
-    // deterministic iteration budget (solver_driver.h), and
-    // stats().cycles counts iterations executed.
+    ExecutionEngine::RunIteration();
     ++clock_;
     ++stats_.cycles;
-}
-
-void
-FunctionalEngine::RunResidualRecompute()
-{
-    RunPhases(prog_->residual_recompute);
 }
 
 } // namespace azul

@@ -14,13 +14,12 @@
  * residual history the cycle-accurate Machine does, at any
  * cfg.sim_threads (tests/test_engine_functional.cc).
  *
- * Host-side layout (docs/PERFORMANCE.md): the distributed vectors are
- * stored as flat per-vector arrays in tile-major slot order — the
- * concatenation of the cycle engine's per-tile shards — so per-tile
- * slot order, and with it the dot-partial fold order, is unchanged,
- * while elementwise kernels become single contiguous sweeps
- * (SIMD-annotated via util/simd.h, toggled by cfg.simd) and tape
- * instructions address storage with one flat index.
+ * Host-side layout (docs/PERFORMANCE.md): the engines share one flat
+ * tile-major storage (execution_engine.h), so every non-matrix phase
+ * runs the shared semantics (sim/phase_semantics.h) in one contiguous
+ * sweep over the whole vector — per-tile slot order, and with it the
+ * dot-partial fold order, is unchanged — and tape instructions
+ * address storage with one flat index.
  *
  * What it does NOT model: cycle timing (stats().cycles counts solver
  * iterations, not hardware cycles — see RunBudget in solver_driver.h),
@@ -41,16 +40,11 @@
 #ifndef AZUL_SIM_ENGINE_FUNCTIONAL_H_
 #define AZUL_SIM_ENGINE_FUNCTIONAL_H_
 
-#include <array>
 #include <unordered_map>
 #include <vector>
 
 #include "dataflow/program.h"
-#include "dataflow/tree.h"
-#include "sim/config.h"
 #include "sim/execution_engine.h"
-#include "sim/sim_stats.h"
-#include "solver/vector_ops.h"
 
 namespace azul {
 
@@ -66,40 +60,10 @@ class FunctionalEngine : public ExecutionEngine {
         return EngineKind::kFunctional;
     }
 
-    void LoadProblem(const Vector& b) override;
-    void RunPrologue() override;
-    void RunWarmPrologue() override;
-    /** Runs one solver iteration and advances clock() by one tick. */
+    /** Runs one solver iteration and advances clock() by one tick:
+     *  RunBudget::max_cycles becomes an iteration budget under this
+     *  engine, and stats().cycles counts iterations executed. */
     void RunIteration() override;
-    void RunResidualRecompute() override;
-
-    double ReadScalar(ScalarReg reg) const override;
-    Vector GatherVector(VecName which) const override;
-    void ScatterVector(VecName which, const Vector& v) override;
-
-    const SimStats& stats() const override { return stats_; }
-    const SimConfig& config() const override { return cfg_; }
-    const SolverProgram& program() const override { return *prog_; }
-
-    /** Iteration counter: ticks once per RunIteration (monotonic, not
-     *  reset by LoadProblem), making RunBudget::max_cycles an
-     *  iteration budget under this engine. */
-    Cycle clock() const override { return clock_; }
-
-    /** Always false: the functional engine never injects faults. */
-    bool faults_enabled() const override { return false; }
-
-    /** Runs program().matrix_kernels[kernel_index] by itself (first
-     *  run records the tape, later runs replay it) and returns the
-     *  stats delta — the tape-replay entry point for benches and
-     *  differential tests (bench_micro_kernels). */
-    SimStats RunMatrixKernelStandalone(int kernel_index);
-
-    MachineCheckpoint CaptureCheckpoint(Index iteration) override;
-    void RestoreCheckpoint(const MachineCheckpoint& checkpoint,
-                           Index from_iteration) override;
-    void RecordFaultDetected(Index iteration,
-                             double residual_norm) override;
 
   private:
     /** One queued task of the compile walk (RecordMatrixKernel). */
@@ -182,9 +146,12 @@ class FunctionalEngine : public ExecutionEngine {
         std::uint64_t sram_writes = 0;
     };
 
-    void RunPhases(const std::vector<Phase>& phases);
-    void RunPhase(const Phase& phase);
-    void RunMatrixKernel(const MatrixKernel& kernel);
+    void RunMatrixKernel(const MatrixKernel& kernel) override;
+    void RunElementwise(const VectorKernel& kernel) override;
+    void RunDotReduce(const VectorKernel& kernel) override;
+    void RunScalarPhase(const ScalarOp& op) override;
+    void RunHostPhase(const HostOp& op) override;
+
     /** First execution of a kernel: the queue walk, which both solves
      *  and compiles the tape + stats delta into `cache`. */
     void RecordMatrixKernel(const MatrixKernel& kernel,
@@ -198,67 +165,6 @@ class FunctionalEngine : public ExecutionEngine {
                       const WorkItem& item, double sum,
                       std::int32_t src, std::int32_t count,
                       KernelCache& cache, TapeRecorder& rec);
-    void RunVectorKernel(const VectorKernel& kernel);
-    void RunElementwise(const VectorKernel& kernel);
-    void RunDotReduce(const VectorKernel& kernel);
-    void RunScalarPhase(const ScalarOp& op);
-    /** Runs a host epilogue (sim/host_ops.h) — the identical serial
-     *  routine the cycle engine calls, plus its op accounting. */
-    void RunHostPhase(const HostOp& op);
-    /** End-of-phase FP32 quantization of the phase's destination
-     *  vector (PrecisionMode::kFp32, iteration phases only; x and b
-     *  are exempt FP64 anchors) — same boundaries as the cycle
-     *  engine, preserving bit-identity at either precision. */
-    void QuantizePhaseDst(const Phase& phase);
-
-    double ReadSlot(VecName vec, Index slot) const;
-    void WriteSlot(VecName vec, Index slot, double value);
-
-    /** Flat data of the operand (`name`, `bank_slot`): the bank slot
-     *  when >= 0, the named vector otherwise. */
-    std::vector<double>&
-    Operand(VecName name, std::int32_t bank_slot)
-    {
-        return bank_slot >= 0
-                   ? bank_[static_cast<std::size_t>(bank_slot)]
-                   : vecs_[static_cast<std::size_t>(name)];
-    }
-
-    SimConfig cfg_;
-    const SolverProgram* prog_;
-    TorusGeometry geom_;
-
-    /** Flat per-vector storage in tile-major slot order (see the file
-     *  comment): vecs_[v][tile_begin_[t] + local] is slot `local` of
-     *  tile t — the same slot enumeration the cycle engine shards
-     *  per tile, so fold orders match by construction. */
-    std::array<std::vector<double>, static_cast<std::size_t>(
-                                        VecName::kCount)>
-        vecs_;
-    /** Multi-vector register bank in the same flat layout (GMRES's
-     *  Krylov basis; SolverProgram::num_bank_vectors entries). */
-    std::vector<std::vector<double>> bank_;
-    /** 1/diag(A) in the same flat layout (Jacobi), if used. */
-    std::vector<double> inv_diag_;
-    /** Flat-range start of each tile (num_tiles + 1 entries). */
-    std::vector<std::int32_t> tile_begin_;
-    /** Global slot -> flat storage index. */
-    std::vector<std::int32_t> slot_flat_;
-
-    std::array<double, static_cast<std::size_t>(ScalarReg::kCount)>
-        scalar_regs_{};
-    /** Broadcast scalar bank (num_bank_scalars): Hessenberg entries +
-     *  beta + y of GMRES; per-restart scratch, not checkpointed. */
-    std::vector<double> scalar_bank_;
-    /** True while iteration phases run under PrecisionMode::kFp32
-     *  (enables end-of-phase quantization; prologue/recompute phases
-     *  stay full-precision). */
-    bool fp32_active_ = false;
-
-    /** Machine-wide scalar tree (rooted at 0): fixes the cross-tile
-     *  dot fold order and the broadcast/reduce op counts. */
-    TreeTopology scalar_tree_;
-    std::vector<std::vector<std::int32_t>> scalar_tree_children_;
 
     /** Per-tile matrix-kernel scratch (fold buffers + countdowns),
      *  used only by the one recorded walk of each kernel. */
@@ -277,9 +183,6 @@ class FunctionalEngine : public ExecutionEngine {
     /** Node-fold staging and value registers of a tape replay. */
     std::vector<double> stage_;
     std::vector<double> values_;
-
-    Cycle clock_ = 0;
-    SimStats stats_;
 };
 
 } // namespace azul

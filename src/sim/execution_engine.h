@@ -14,6 +14,14 @@
  *     ordered task-graph walk with no timing model, for
  *     serving-style throughput (AzulService).
  *
+ * One semantics, two clocks: this base class owns everything the two
+ * engines share — the distributed vectors in one flat tile-major
+ * layout, the scalar registers and bank, the machine-wide scalar
+ * tree, the phase loop with its observer bracketing and FP32 rule,
+ * and the checkpoint hooks — and every non-matrix phase computes
+ * through sim/phase_semantics.h. An engine supplies only how it runs
+ * a matrix kernel and what each phase costs in time.
+ *
  * Determinism contract: both engines fold every floating-point
  * reduction in the same statically-assigned order (see
  * NodeDesc::stage_offset in dataflow/task.h), so for the same
@@ -32,11 +40,15 @@
 #define AZUL_SIM_EXECUTION_ENGINE_H_
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "dataflow/message.h"
+#include "dataflow/program.h"
+#include "dataflow/tree.h"
 #include "sim/config.h"
 #include "sim/fault.h"
+#include "sim/phase_semantics.h"
 #include "sim/sim_stats.h"
 #include "solver/vector_ops.h"
 #include "util/common.h"
@@ -45,9 +57,8 @@
 namespace azul {
 
 class SimObserver;
-struct SolverProgram;
 
-/** Abstract engine executing a compiled SolverProgram. */
+/** Base of the engines executing a compiled SolverProgram. */
 class ExecutionEngine {
   public:
     virtual ~ExecutionEngine() = default;
@@ -56,45 +67,56 @@ class ExecutionEngine {
     virtual EngineKind kind() const = 0;
 
     /** Sets x = 0 and r = b; clears the other vectors and stats. */
-    virtual void LoadProblem(const Vector& b) = 0;
+    virtual void LoadProblem(const Vector& b);
 
     /** Runs the program prologue. */
-    virtual void RunPrologue() = 0;
+    void RunPrologue();
 
     /** Runs the warm-start prologue (r = b - A x0 + recurrence
      *  restart) instead of RunPrologue when the solution vector holds
      *  a scattered initial guess (docs/TIMESTEPPING.md). */
-    virtual void RunWarmPrologue() = 0;
+    void RunWarmPrologue();
 
-    /** Runs one solver iteration. */
-    virtual void RunIteration() = 0;
+    /** Runs one solver iteration. Under PrecisionMode::kFp32 only
+     *  these phases quantize: the prologue and residual_recompute run
+     *  at full FP64 so true-residual recovery reads unquantized
+     *  state. */
+    virtual void RunIteration();
 
     /** Runs the program's residual_recompute phases (if any). */
-    virtual void RunResidualRecompute() = 0;
+    void RunResidualRecompute();
+
+    /** Runs program().matrix_kernels[kernel_index] by itself between
+     *  the observers' phase hooks and returns its stats delta
+     *  (tests, benches). */
+    SimStats RunMatrixKernelStandalone(int kernel_index);
 
     /** Reads a broadcast scalar register. */
-    virtual double ReadScalar(ScalarReg reg) const = 0;
+    double ReadScalar(ScalarReg reg) const
+    {
+        return scalar_regs_[static_cast<std::size_t>(reg)];
+    }
 
     /** Gathers a distributed vector into natural index order. */
-    virtual Vector GatherVector(VecName which) const = 0;
+    Vector GatherVector(VecName which) const;
 
     /** Writes a vector into the distributed storage. */
-    virtual void ScatterVector(VecName which, const Vector& v) = 0;
+    void ScatterVector(VecName which, const Vector& v);
 
     /** Cumulative statistics since LoadProblem. */
-    virtual const SimStats& stats() const = 0;
+    const SimStats& stats() const { return stats_; }
 
-    virtual const SimConfig& config() const = 0;
+    const SimConfig& config() const { return cfg_; }
 
     /** The program this engine executes. */
-    virtual const SolverProgram& program() const = 0;
+    const SolverProgram& program() const { return *prog_; }
 
     /**
      * Monotonic engine clock (not reset by LoadProblem); the unit the
      * driver charges RunBudget::max_cycles in. Simulated cycles for
      * the cycle engine; solver iterations for the functional engine.
      */
-    virtual Cycle clock() const = 0;
+    Cycle clock() const { return clock_; }
 
     // ---- Measurement layer -------------------------------------------------
     /**
@@ -123,31 +145,181 @@ class ExecutionEngine {
     }
 
     // ---- Robustness layer (sim/fault.h, docs/ROBUSTNESS.md) ----------------
-    /** True if a fault injector is active on this engine. */
-    virtual bool faults_enabled() const = 0;
+    /** True if a fault injector is active on this engine (only the
+     *  cycle engine accepts a fault-enabled config). */
+    bool faults_enabled() const { return cfg_.faults_enabled(); }
 
     /**
      * Snapshots the architectural state (vectors + scalar registers)
      * at driver iteration `iteration`. Host-side: costs zero
      * simulated time. The driver fills the solve-position fields.
      */
-    virtual MachineCheckpoint CaptureCheckpoint(Index iteration) = 0;
+    MachineCheckpoint CaptureCheckpoint(Index iteration);
 
     /** Restores a checkpoint's architectural state; `from_iteration`
      *  is where the solve was when corruption was detected (for the
-     *  observer timeline). The clock and stats are NOT rewound. */
-    virtual void RestoreCheckpoint(const MachineCheckpoint& checkpoint,
-                                   Index from_iteration) = 0;
+     *  observer timeline). The clock and stats are NOT rewound —
+     *  recovery costs real simulated time. */
+    void RestoreCheckpoint(const MachineCheckpoint& checkpoint,
+                           Index from_iteration);
 
     /** Records a driver-side corruption detection (counter +
      *  observer notification). */
-    virtual void RecordFaultDetected(Index iteration,
-                                     double residual_norm) = 0;
+    void RecordFaultDetected(Index iteration, double residual_norm);
 
   protected:
+    /** Checks that the program was compiled for cfg's machine and
+     *  lays out the shared state. The program must outlive the
+     *  engine. */
+    ExecutionEngine(SimConfig cfg, const SolverProgram* program);
+
+    // ---- Engine hooks: one per phase kind ----------------------------------
+    // Each computes through the shared semantics and advances the
+    // engine's own clock, if it has one.
+    virtual void RunMatrixKernel(const MatrixKernel& kernel) = 0;
+    virtual void RunElementwise(const VectorKernel& kernel) = 0;
+    virtual void RunDotReduce(const VectorKernel& kernel) = 0;
+    virtual void RunScalarPhase(const ScalarOp& op) = 0;
+    virtual void RunHostPhase(const HostOp& op) = 0;
+
+    /** Runs one phase through the hooks, then applies the FP32 rule
+     *  while iteration phases run under PrecisionMode::kFp32. */
+    virtual void RunPhase(const Phase& phase);
+
+    void
+    RunVectorKernel(const VectorKernel& kernel)
+    {
+        if (kernel.op == VecOpKind::kDotReduce) {
+            RunDotReduce(kernel);
+        } else {
+            RunElementwise(kernel);
+        }
+    }
+
+    // ---- Shared semantics over the flat storage ----------------------------
+    /** Flat data of an operand: the bank slot when `bank_slot` >= 0,
+     *  the named vector otherwise. */
+    std::vector<double>&
+    Operand(VecName name, std::int32_t bank_slot)
+    {
+        return bank_slot >= 0
+                   ? bank_[static_cast<std::size_t>(bank_slot)]
+                   : vecs_[static_cast<std::size_t>(name)];
+    }
+
+    /** Slots homed on `tile` (its flat range's length). */
+    Index
+    TileSlots(std::size_t tile) const
+    {
+        return tile_begin_[tile + 1] - tile_begin_[tile];
+    }
+
+    /** The kernel's scale (phase::ElementwiseScale), resolved once
+     *  per kernel rather than per tile. */
+    double
+    ElementwiseScale(const VectorKernel& kernel) const
+    {
+        return phase::ElementwiseScale(kernel, scalar_regs_.data(),
+                                       scalar_bank_.data());
+    }
+
+    /** The kernel's elementwise sweep over flat slots [begin,
+     *  begin + n) at `scale`. */
+    PhaseCost SweepSlots(const VectorKernel& kernel, double scale,
+                         std::size_t begin, std::size_t n);
+
+    /** Scalar-tree node `node`'s tile-local dot partial, stored in
+     *  dot_partials_[node]. */
+    PhaseCost DotPartialOfNode(const VectorKernel& kernel,
+                               std::size_t node);
+
+    /** Folds dot_partials_, charges the reduce tree's ops, and runs
+     *  the root post-ops; the caller broadcasts the result. */
+    phase::RootWork FoldDot(const VectorKernel& kernel);
+
+    /** Charges the root's ops and the broadcast of its values down
+     *  the scalar tree. */
+    void
+    ChargeBroadcast(const phase::RootWork& root)
+    {
+        stats_ += root.cost;
+        stats_ += phase::BroadcastCost(scalar_tree_edges_,
+                                       root.broadcast_values);
+    }
+
+    /** Global slot -> flat storage index. */
+    std::size_t
+    FlatIndex(Index slot) const
+    {
+        return static_cast<std::size_t>(
+            slot_flat_[static_cast<std::size_t>(slot)]);
+    }
+    double
+    ReadSlot(VecName vec, Index slot) const
+    {
+        return vecs_[static_cast<std::size_t>(vec)][FlatIndex(slot)];
+    }
+    void
+    WriteSlot(VecName vec, Index slot, double value)
+    {
+        vecs_[static_cast<std::size_t>(vec)][FlatIndex(slot)] = value;
+    }
+
+    SimConfig cfg_;
+    const SolverProgram* prog_;
+    TorusGeometry geom_;
+
+    /** Distributed vectors, flat in tile-major slot order:
+     *  vecs_[v][tile_begin_[t] + local] is slot `local` of tile t,
+     *  its homed slots in ascending global order — so each tile's
+     *  slot order, which fixes its dot-partial fold order, is one
+     *  layout for both engines. */
+    std::array<std::vector<double>, static_cast<std::size_t>(
+                                        VecName::kCount)>
+        vecs_;
+    /** Multi-vector register bank in the same layout (GMRES's Krylov
+     *  basis; SolverProgram::num_bank_vectors entries). */
+    std::vector<std::vector<double>> bank_;
+    /** 1/diag(A) in the same layout (Jacobi), if used. */
+    std::vector<double> inv_diag_;
+    /** Flat-range start of each tile (num_tiles + 1 entries). */
+    std::vector<std::int32_t> tile_begin_;
+    /** Global slot -> flat storage index. */
+    std::vector<std::int32_t> slot_flat_;
+
+    /** Scalar registers (functionally global; broadcast is timed by
+     *  the cycle engine). */
+    std::array<double, static_cast<std::size_t>(ScalarReg::kCount)>
+        scalar_regs_{};
+    /** Broadcast scalar bank (SolverProgram::num_bank_scalars): the
+     *  Hessenberg entries + beta + y of GMRES. Like the vector bank
+     *  it is per-restart scratch, excluded from checkpoints. */
+    std::vector<double> scalar_bank_;
+    /** True while iteration phases run under PrecisionMode::kFp32
+     *  (end-of-phase quantization; the cycle engine also packs two
+     *  values per word in its sweep timing). */
+    bool fp32_active_ = false;
+
+    /** Machine-wide scalar reduction/broadcast tree (rooted at 0):
+     *  fixes the cross-tile dot fold order and the tree op counts. */
+    TreeTopology scalar_tree_;
+    std::vector<std::vector<std::int32_t>> scalar_tree_children_;
+    std::uint64_t scalar_tree_edges_ = 0;
+    /** Per-node dot partials (one per scalar-tree node). */
+    std::vector<double> dot_partials_;
+
+    Cycle clock_ = 0;
+    SimStats stats_;
+
     /** Attached observers; engines notify them on the coordinating
      *  thread only (see observer.h). */
     std::vector<SimObserver*> observers_;
+
+  private:
+    void RunPhases(const std::vector<Phase>& phases);
+    /** Runs `run` between the observers' phase hooks for `phase`. */
+    template <typename Run>
+    void Observed(const Phase& phase, int index, Run&& run);
 };
 
 } // namespace azul

@@ -1,13 +1,12 @@
 /**
  * @file
- * Machine core: construction, distributed vector storage, observer
- * attachment, and phase orchestration. The matrix- and vector-kernel
- * engines live in machine_matrix.cc / machine_vector.cc; the generic
- * convergence loop in solver_driver.cc.
+ * Machine core: construction and fault injection. Storage and phase
+ * orchestration are shared with the functional engine
+ * (execution_engine.cc); the matrix- and vector-phase timing lives in
+ * machine_matrix.cc / machine_vector.cc, the generic convergence loop
+ * in solver_driver.cc.
  */
 #include "sim/machine.h"
-
-#include <algorithm>
 
 #include "sim/observer.h"
 #include "sim/sram.h"
@@ -16,58 +15,11 @@
 namespace azul {
 
 Machine::Machine(SimConfig cfg, const SolverProgram* program)
-    : cfg_(std::move(cfg)), prog_(program), geom_(cfg_.geometry()),
+    : ExecutionEngine(std::move(cfg), program),
       noc_(geom_, cfg_.hop_latency)
 {
-    AZUL_CHECK(prog_ != nullptr);
-    AZUL_CHECK_MSG(geom_.num_tiles() ==
-                       static_cast<std::int32_t>(
-                           prog_->geom.num_tiles()),
-                   "program compiled for a different machine size");
-    AZUL_CHECK_MSG(geom_.wrap == prog_->geom.wrap,
-                   "program compiled for a different topology "
-                   "(torus vs mesh)");
-
-    const Index n = static_cast<Index>(prog_->vec_tile.size());
-    tiles_.resize(static_cast<std::size_t>(geom_.num_tiles()));
-    slot_local_.assign(static_cast<std::size_t>(n), -1);
-    for (Index i = 0; i < n; ++i) {
-        TileStorage& ts =
-            tiles_[static_cast<std::size_t>(
-                prog_->vec_tile[static_cast<std::size_t>(i)])];
-        slot_local_[static_cast<std::size_t>(i)] =
-            static_cast<std::int32_t>(ts.slots.size());
-        ts.slots.push_back(i);
-    }
-    for (auto& ts : tiles_) {
-        ts.bank.resize(
-            static_cast<std::size_t>(prog_->num_bank_vectors));
-        ts.InitStorage();
-    }
-    scalar_bank_.assign(
-        static_cast<std::size_t>(prog_->num_bank_scalars), 0.0);
-    if (!prog_->jacobi_inv_diag.empty()) {
-        for (auto& ts : tiles_) {
-            ts.jacobi_inv_diag.assign(ts.slots.size(), 0.0);
-            for (std::size_t s = 0; s < ts.slots.size(); ++s) {
-                ts.jacobi_inv_diag[s] =
-                    prog_->jacobi_inv_diag[static_cast<std::size_t>(
-                        ts.slots[s])];
-            }
-        }
-    }
-
-    runs_.resize(tiles_.size());
-    tile_active_.assign(tiles_.size(), 0);
-
-    // Machine-wide scalar tree over all tiles, rooted at tile 0.
-    std::vector<std::int32_t> all_tiles(
-        static_cast<std::size_t>(geom_.num_tiles()));
-    for (std::int32_t t = 0; t < geom_.num_tiles(); ++t) {
-        all_tiles[static_cast<std::size_t>(t)] = t;
-    }
-    scalar_tree_ = BuildTorusTree(geom_, 0, all_tiles);
-    scalar_tree_children_ = scalar_tree_.Children();
+    runs_.resize(static_cast<std::size_t>(geom_.num_tiles()));
+    tile_active_.assign(runs_.size(), 0);
 
     // Host worker pool for the deterministic parallel engine. One
     // lane per worker; serial runs use lanes_[0] only, so both modes
@@ -101,72 +53,26 @@ Machine::ResetLanes()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Storage plumbing
-// ---------------------------------------------------------------------------
-
-double
-Machine::ReadSlot(VecName vec, Index slot) const
-{
-    const TileStorage& ts =
-        tiles_[static_cast<std::size_t>(
-            prog_->vec_tile[static_cast<std::size_t>(slot)])];
-    return ts.vecs[static_cast<std::size_t>(vec)]
-        [static_cast<std::size_t>(
-            slot_local_[static_cast<std::size_t>(slot)])];
-}
-
-void
-Machine::WriteSlot(VecName vec, Index slot, double value)
-{
-    TileStorage& ts =
-        tiles_[static_cast<std::size_t>(
-            prog_->vec_tile[static_cast<std::size_t>(slot)])];
-    ts.vecs[static_cast<std::size_t>(vec)][static_cast<std::size_t>(
-        slot_local_[static_cast<std::size_t>(slot)])] = value;
-}
-
-Vector
-Machine::GatherVector(VecName which) const
-{
-    Vector out(prog_->vec_tile.size(), 0.0);
-    for (Index i = 0; i < static_cast<Index>(out.size()); ++i) {
-        out[static_cast<std::size_t>(i)] = ReadSlot(which, i);
-    }
-    return out;
-}
-
-void
-Machine::ScatterVector(VecName which, const Vector& v)
-{
-    AZUL_CHECK(v.size() == prog_->vec_tile.size());
-    for (Index i = 0; i < static_cast<Index>(v.size()); ++i) {
-        WriteSlot(which, i, v[static_cast<std::size_t>(i)]);
-    }
-}
-
 void
 Machine::LoadProblem(const Vector& b)
 {
-    for (auto& ts : tiles_) {
-        ts.InitStorage();
-    }
-    ScatterVector(VecName::kB, b);
-    ScatterVector(VecName::kR, b);
-    scalar_regs_.fill(0.0);
-    std::fill(scalar_bank_.begin(), scalar_bank_.end(), 0.0);
-    stats_ = SimStats{};
-    stats_.tile_ops.assign(tiles_.size(), 0);
+    ExecutionEngine::LoadProblem(b);
+    stats_.tile_ops.assign(runs_.size(), 0);
     noc_.ResetCounters();
 }
 
-double
-Machine::ReadScalar(ScalarReg reg) const
+void
+Machine::RunPhase(const Phase& phase)
 {
-    return scalar_regs_[static_cast<std::size_t>(reg)];
+    if (fault_ != nullptr) {
+        // The phase counter is the SRAM fault key space: monotonic
+        // and never reset, so a replayed phase after a rollback draws
+        // fresh decisions instead of re-injecting the same fault.
+        ++fault_phase_counter_;
+        InjectSramFaults();
+    }
+    ExecutionEngine::RunPhase(phase);
 }
-
-// Observer attachment lives in ExecutionEngine (execution_engine.h).
 
 // ---------------------------------------------------------------------------
 // Robustness layer
@@ -215,8 +121,9 @@ Machine::InjectSramFaults()
                            static_cast<std::uint64_t>(t))) {
             continue;
         }
-        TileStorage& ts = tiles_[static_cast<std::size_t>(t)];
-        if (ts.slots.empty()) {
+        const auto slots =
+            static_cast<std::uint64_t>(TileSlots(static_cast<std::size_t>(t)));
+        if (slots == 0) {
             continue;
         }
         const std::uint64_t draw = fault_->Draw(
@@ -227,246 +134,13 @@ Machine::InjectSramFaults()
             ++vec;
         }
         const std::size_t slot =
-            static_cast<std::size_t>((draw >> 8) % ts.slots.size());
+            static_cast<std::size_t>(tile_begin_[static_cast<std::size_t>(t)]) +
+            static_cast<std::size_t>((draw >> 8) % slots);
         const int bit = static_cast<int>((draw >> 16) % 64);
-        auto& word = ts.vecs[static_cast<std::size_t>(vec)][slot];
+        auto& word = vecs_[static_cast<std::size_t>(vec)][slot];
         word = CorruptSramWord(word, static_cast<std::uint64_t>(bit));
         RecordFault({FaultKind::kSramFlip, clock_, t, bit});
     }
-}
-
-MachineCheckpoint
-Machine::CaptureCheckpoint(Index iteration)
-{
-    MachineCheckpoint ck;
-    ck.iteration = iteration;
-    for (std::size_t v = 0;
-         v < static_cast<std::size_t>(VecName::kCount); ++v) {
-        ck.vecs[v] = GatherVector(static_cast<VecName>(v));
-    }
-    ck.scalar_regs = scalar_regs_;
-    ++stats_.checkpoints;
-    for (SimObserver* o : observers_) {
-        o->OnCheckpointTaken(iteration, clock_);
-    }
-    return ck;
-}
-
-void
-Machine::RestoreCheckpoint(const MachineCheckpoint& checkpoint,
-                           Index from_iteration)
-{
-    for (std::size_t v = 0;
-         v < static_cast<std::size_t>(VecName::kCount); ++v) {
-        ScatterVector(static_cast<VecName>(v), checkpoint.vecs[v]);
-    }
-    scalar_regs_ = checkpoint.scalar_regs;
-    ++stats_.rollbacks;
-    for (SimObserver* o : observers_) {
-        o->OnRollback(from_iteration, checkpoint.iteration, clock_);
-    }
-}
-
-void
-Machine::RecordFaultDetected(Index iteration, double residual_norm)
-{
-    ++stats_.faults_detected;
-    for (SimObserver* o : observers_) {
-        o->OnFaultDetected(iteration, residual_norm, clock_);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Program execution
-// ---------------------------------------------------------------------------
-
-namespace {
-
-PhaseInfo
-MakePhaseInfo(const SolverProgram& prog, const Phase& phase, int index)
-{
-    PhaseInfo info;
-    info.kind = phase.kind;
-    info.index = index;
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix: {
-        const MatrixKernel& kernel =
-            prog.matrix_kernels[static_cast<std::size_t>(
-                phase.matrix_kernel)];
-        info.kclass = kernel.kclass;
-        info.name = kernel.name;
-        break;
-      }
-      case Phase::Kind::kVector:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = phase.vec.ToString();
-        break;
-      case Phase::Kind::kScalar:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = "scalar";
-        break;
-      case Phase::Kind::kHost:
-        info.kclass = KernelClass::kVectorOp;
-        info.name = "host-lsq";
-        break;
-    }
-    return info;
-}
-
-/** Rounds every element through FP32 storage. */
-void
-QuantizeArray(std::vector<double>& v)
-{
-    for (double& x : v) {
-        x = static_cast<double>(static_cast<float>(x));
-    }
-}
-
-} // namespace
-
-void
-Machine::QuantizeNamed(VecName vec)
-{
-    if (vec == VecName::kX || vec == VecName::kB) {
-        return; // FP64 anchors
-    }
-    for (auto& ts : tiles_) {
-        QuantizeArray(ts.vecs[static_cast<std::size_t>(vec)]);
-    }
-}
-
-void
-Machine::QuantizeBank(std::int32_t bank_slot)
-{
-    for (auto& ts : tiles_) {
-        QuantizeArray(ts.bank[static_cast<std::size_t>(bank_slot)]);
-    }
-}
-
-void
-Machine::QuantizePhaseDst(const Phase& phase)
-{
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix:
-        QuantizeNamed(
-            prog_->matrix_kernels[static_cast<std::size_t>(
-                                      phase.matrix_kernel)]
-                .output_vec);
-        break;
-      case Phase::Kind::kVector:
-        if (phase.vec.op == VecOpKind::kDotReduce) {
-            break; // scalars stay FP64
-        }
-        if (phase.vec.dst_bank >= 0) {
-            QuantizeBank(phase.vec.dst_bank);
-        } else {
-            QuantizeNamed(phase.vec.dst);
-        }
-        break;
-      case Phase::Kind::kScalar:
-      case Phase::Kind::kHost:
-        break;
-    }
-}
-
-void
-Machine::RunPhase(const Phase& phase)
-{
-    if (fault_ != nullptr) {
-        // The phase counter is the SRAM fault key space: monotonic
-        // and never reset, so a replayed phase after a rollback draws
-        // fresh decisions instead of re-injecting the same fault.
-        ++fault_phase_counter_;
-        InjectSramFaults();
-    }
-    switch (phase.kind) {
-      case Phase::Kind::kMatrix:
-        RunMatrixKernel(
-            prog_->matrix_kernels[static_cast<std::size_t>(
-                phase.matrix_kernel)]);
-        break;
-      case Phase::Kind::kVector:
-        RunVectorKernel(phase.vec);
-        break;
-      case Phase::Kind::kScalar: {
-        const Cycle duration = RunScalarPhase(phase.scalar);
-        clock_ += duration;
-        stats_.cycles += duration;
-        stats_.class_cycles[static_cast<std::size_t>(
-            KernelClass::kVectorOp)] += duration;
-        break;
-      }
-      case Phase::Kind::kHost: {
-        const Cycle duration = RunHostPhase(phase.host);
-        clock_ += duration;
-        stats_.cycles += duration;
-        stats_.class_cycles[static_cast<std::size_t>(
-            KernelClass::kVectorOp)] += duration;
-        break;
-      }
-    }
-    if (fp32_active_) {
-        QuantizePhaseDst(phase);
-    }
-}
-
-void
-Machine::RunPhases(const std::vector<Phase>& phases)
-{
-    if (observers_.empty()) {
-        for (const Phase& phase : phases) {
-            RunPhase(phase);
-        }
-        return;
-    }
-    int index = 0;
-    for (const Phase& phase : phases) {
-        const PhaseInfo info = MakePhaseInfo(*prog_, phase, index++);
-        const SimStats before = stats_;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseStart(info, clock_);
-        }
-        RunPhase(phase);
-        const SimStats delta = stats_ - before;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseEnd(info, clock_, delta);
-        }
-    }
-}
-
-void
-Machine::RunPrologue()
-{
-    RunPhases(prog_->prologue);
-}
-
-void
-Machine::RunWarmPrologue()
-{
-    RunPhases(prog_->warm_prologue);
-}
-
-void
-Machine::RunIteration()
-{
-    // Quantization (and the packed-word sweep timing) applies to the
-    // iteration body only: the prologue and residual_recompute run at
-    // full FP64 so true-residual recovery reads unquantized state.
-    fp32_active_ = cfg_.precision == PrecisionMode::kFp32;
-    RunPhases(prog_->iteration);
-    fp32_active_ = false;
-}
-
-void
-Machine::RunResidualRecompute()
-{
-    RunPhases(prog_->residual_recompute);
-}
-
-SolverRunResult
-Machine::RunPcg(const Vector& b, double tol, Index max_iters)
-{
-    return SolverDriver().Run(*this, b, tol, max_iters);
 }
 
 } // namespace azul

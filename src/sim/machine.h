@@ -8,10 +8,13 @@
  * real FP64 values, so a simulated solve produces an x vector that
  * callers check against the reference solver.
  *
- * The engine is split across three translation units:
- *   machine.cc        — construction, storage, phase orchestration
+ * Storage, the phase loop and every non-matrix phase's semantics are
+ * shared with the functional engine (execution_engine.h,
+ * phase_semantics.h); this engine adds the timing model, split across
+ * three translation units:
+ *   machine.cc        — construction, fault injection
  *   machine_matrix.cc — matrix-kernel (SpMV/SpTRSV) execution
- *   machine_vector.cc — vector/scalar-kernel execution
+ *   machine_vector.cc — vector/scalar-phase timing
  * The convergence loop lives in the generic SolverDriver
  * (solver_driver.h); measurement hooks in SimObserver (observer.h).
  *
@@ -38,14 +41,11 @@
 #include "sim/pe.h"
 #include "sim/sim_stats.h"
 #include "sim/solver_driver.h"
-#include "sim/tile.h"
 #include "solver/vector_ops.h"
 #include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace azul {
-
-class SimObserver;
 
 /** A NoC injection staged during a tile pass, flushed by the
  *  coordinating thread in active-list position order. */
@@ -84,37 +84,17 @@ class Machine : public ExecutionEngine {
 
     EngineKind kind() const override { return EngineKind::kCycle; }
 
-    /** Sets x = 0 and r = b; clears the other vectors and stats. */
+    /** Sets x = 0 and r = b; clears the other vectors, the stats and
+     *  the NoC counters. */
     void LoadProblem(const Vector& b) override;
-
-    /** Runs the program prologue. */
-    void RunPrologue() override;
-
-    /** Runs the warm-start prologue. */
-    void RunWarmPrologue() override;
-
-    /** Runs one solver iteration. */
-    void RunIteration() override;
-
-    /** Runs the program's residual_recompute phases (if any). */
-    void RunResidualRecompute() override;
-
-    /**
-     * Deprecated shim over the generic driver: prefer
-     * `SolverDriver().Run(machine, b, tol, max_iters)`. Runs any
-     * program (PCG, Jacobi, BiCGStab, ...) to convergence.
-     */
-    SolverRunResult RunPcg(const Vector& b, double tol,
-                           Index max_iters);
-
-    /** Runs one matrix kernel standalone (tests/benches). */
-    SimStats RunMatrixKernelStandalone(int kernel_index);
 
     /** Runs one vector kernel standalone (tests); returns duration. */
     Cycle
     RunVectorKernelForTest(const VectorKernel& kernel)
     {
-        return RunVectorKernel(kernel);
+        const Cycle start = clock_;
+        RunVectorKernel(kernel);
+        return clock_ - start;
     }
 
     /** Activates a task directly (tests of buffer-spill behavior). */
@@ -124,26 +104,6 @@ class Machine : public ExecutionEngine {
         ActivateTask(tile, task, lanes_[0]);
         FoldLaneCounters();
     }
-
-    /** Reads a broadcast scalar register. */
-    double ReadScalar(ScalarReg reg) const override;
-
-    /** Gathers a distributed vector into natural index order. */
-    Vector GatherVector(VecName which) const override;
-
-    /** Writes a vector into the distributed storage. */
-    void ScatterVector(VecName which, const Vector& v) override;
-
-    /** Cumulative statistics since LoadProblem. */
-    const SimStats& stats() const override { return stats_; }
-
-    const SimConfig& config() const override { return cfg_; }
-
-    /** The program this machine executes. */
-    const SolverProgram& program() const override { return *prog_; }
-
-    /** Monotonic cycle clock (not reset by LoadProblem). */
-    Cycle clock() const override { return clock_; }
 
     // ---- Measurement layer -------------------------------------------------
     // Observer attachment is inherited from ExecutionEngine.
@@ -157,32 +117,14 @@ class Machine : public ExecutionEngine {
     }
 
     // ---- Robustness layer (sim/fault.h, docs/ROBUSTNESS.md) ----------------
-    /** True if a fault injector is active (cfg.faults_enabled()). */
-    bool faults_enabled() const override { return fault_ != nullptr; }
     const FaultInjector* fault_injector() const { return fault_.get(); }
 
-    /**
-     * Snapshots the architectural state (vectors + scalar registers)
-     * at driver iteration `iteration`. Host-side: costs zero
-     * simulated cycles. The driver fills the solve-position fields.
-     */
-    MachineCheckpoint CaptureCheckpoint(Index iteration) override;
-
-    /** Restores a checkpoint's architectural state; `from_iteration`
-     *  is where the solve was when corruption was detected (for the
-     *  observer timeline). The clock and stats are NOT rewound —
-     *  recovery costs real simulated time. */
-    void RestoreCheckpoint(const MachineCheckpoint& checkpoint,
-                           Index from_iteration) override;
-
-    /** Records a driver-side corruption detection (counter +
-     *  observer notification). */
-    void RecordFaultDetected(Index iteration,
-                             double residual_norm) override;
-
   private:
+    /** Draws this phase's SRAM faults, then runs it. */
+    void RunPhase(const Phase& phase) override;
+
     // ---- Matrix-kernel execution (machine_matrix.cc) ----------------------
-    Cycle RunMatrixKernel(const MatrixKernel& kernel);
+    void RunMatrixKernel(const MatrixKernel& kernel) override;
     void StartMatrixKernel(const MatrixKernel& kernel);
     void DeliverMessage(const MatrixKernel& kernel, std::int32_t tile,
                         const Message& msg);
@@ -207,20 +149,27 @@ class Machine : public ExecutionEngine {
         }
     }
 
-    // ---- Vector-kernel execution (machine_vector.cc) ----------------------
-    Cycle RunVectorKernel(const VectorKernel& kernel);
-    Cycle RunElementwise(const VectorKernel& kernel);
-    Cycle RunDotReduce(const VectorKernel& kernel);
-    Cycle RunScalarPhase(const ScalarOp& op);
-    /** Runs a host epilogue (sim/host_ops.h) against the scalar bank
-     *  and times the root compute + result broadcast. */
-    Cycle RunHostPhase(const HostOp& op);
+    // ---- Vector-phase timing (machine_vector.cc) --------------------------
+    void RunElementwise(const VectorKernel& kernel) override;
+    void RunDotReduce(const VectorKernel& kernel) override;
+    void RunScalarPhase(const ScalarOp& op) override;
+    void RunHostPhase(const HostOp& op) override;
     /** Issue cycles of a full sweep over `slots` values at the active
      *  storage width (fp32 iteration sweeps pack two per word). */
     Cycle SweepCycles(Index slots, std::int32_t cost) const;
-    /** Timing + stats of broadcasting `values` scalars from the root
-     *  down the machine-wide tree, starting at root_done. */
-    Cycle BroadcastScalars(Cycle root_done, int values);
+    /** Charges the root's work, times broadcasting its values from
+     *  the root down the machine-wide tree starting at root_done, and
+     *  advances the clock to the last arrival. */
+    void BroadcastScalars(Cycle root_done, const phase::RootWork& root);
+    /** Advances the clock by a vector-class phase's duration. */
+    void
+    AdvanceVectorClock(Cycle duration)
+    {
+        clock_ += duration;
+        stats_.cycles += duration;
+        stats_.class_cycles[static_cast<std::size_t>(
+            KernelClass::kVectorOp)] += duration;
+    }
 
     // ---- Parallel execution ------------------------------------------------
     /** True if a pass over `items` work items should use the pool. */
@@ -231,6 +180,12 @@ class Machine : public ExecutionEngine {
                items >= static_cast<std::size_t>(
                             cfg_.sim_parallel_grain);
     }
+    /** Runs body(item, lane stats) for every item in [0, items):
+     *  sharded across the pool when UseParallel(items), lane counters
+     *  folded into stats_ in worker order; serially into stats_
+     *  otherwise. */
+    template <typename Body>
+    void ForEachItem(std::size_t items, Body&& body);
     /** Zeroes every lane (kernel start). */
     void ResetLanes();
     /** Folds lane counter deltas (not sends) into the shared state;
@@ -256,51 +211,13 @@ class Machine : public ExecutionEngine {
      *  fresh decisions. */
     void InjectSramFaults();
 
-    // ---- Storage helpers ---------------------------------------------------
-    double ReadSlot(VecName vec, Index slot) const;
-    void WriteSlot(VecName vec, Index slot, double value);
-
-    void RunPhases(const std::vector<Phase>& phases);
-    /** Executes one phase; observer notifications handled by caller. */
-    void RunPhase(const Phase& phase);
-    /** Quantizes the phase's destination vector to FP32 storage
-     *  (PrecisionMode::kFp32, iteration phases only). The solution x
-     *  and right-hand side b are exempt — they are the FP64 anchors
-     *  residual recovery reads. */
-    void QuantizePhaseDst(const Phase& phase);
-    void QuantizeNamed(VecName vec);
-    void QuantizeBank(std::int32_t bank_slot);
-
-    SimConfig cfg_;
-    const SolverProgram* prog_;
-    TorusGeometry geom_;
     Noc noc_;
 
-    std::vector<TileStorage> tiles_;
-    std::vector<std::int32_t> slot_local_; //!< global slot -> local idx
     std::vector<TileRun> runs_;
     std::vector<char> tile_active_;
     std::vector<std::int32_t> active_list_;
     std::int64_t outstanding_tasks_ = 0;
 
-    /** Scalar registers (functionally global; broadcast is timed). */
-    std::array<double, static_cast<std::size_t>(ScalarReg::kCount)>
-        scalar_regs_{};
-    /** Broadcast scalar bank (SolverProgram::num_bank_scalars): the
-     *  Hessenberg entries + beta + y of GMRES. Like the vector bank
-     *  it is per-restart scratch, excluded from checkpoints. */
-    std::vector<double> scalar_bank_;
-    /** True while iteration phases run under PrecisionMode::kFp32:
-     *  enables end-of-phase quantization and the packed-word sweep
-     *  timing (prologue/recompute phases stay full-precision). */
-    bool fp32_active_ = false;
-
-    /** Machine-wide scalar reduction/broadcast tree (rooted at 0). */
-    TreeTopology scalar_tree_;
-    std::vector<std::vector<std::int32_t>> scalar_tree_children_;
-
-    Cycle clock_ = 0;
-    SimStats stats_;
     Cycle issue_sample_period_ = 0;
     std::vector<Delivery> delivery_buffer_;
 
@@ -316,9 +233,10 @@ class Machine : public ExecutionEngine {
     std::unique_ptr<ThreadPool> pool_;
     std::vector<EngineLane> lanes_;
 
-    /** Per-kernel scratch (dot partials, tree timing arrays). Owned by
-     *  the coordinating thread, Reset at each dot/scalar kernel entry;
-     *  workers only write through pointers it returned (util/arena.h). */
+    /** Per-kernel timing scratch (tree arrival arrays). Owned by the
+     *  coordinating thread, Reset at each dot/scalar kernel entry;
+     *  workers only write through pointers it returned
+     *  (util/arena.h). */
     Arena scratch_arena_;
 };
 

@@ -382,7 +382,7 @@ Machine::TickTile(const MatrixKernel& kernel, std::int32_t tile,
     return 0;
 }
 
-Cycle
+void
 Machine::RunMatrixKernel(const MatrixKernel& kernel)
 {
     ResetLanes();
@@ -503,36 +503,6 @@ Machine::RunMatrixKernel(const MatrixKernel& kernel)
         elapsed;
     stats_.link_activations +=
         noc_.link_activations() - links_before;
-    return elapsed;
-}
-
-SimStats
-Machine::RunMatrixKernelStandalone(int kernel_index)
-{
-    AZUL_CHECK(kernel_index >= 0 &&
-               kernel_index <
-                   static_cast<int>(prog_->matrix_kernels.size()));
-    const MatrixKernel& kernel =
-        prog_->matrix_kernels[static_cast<std::size_t>(kernel_index)];
-    const SimStats before = stats_;
-    if (!observers_.empty()) {
-        PhaseInfo info;
-        info.kind = Phase::Kind::kMatrix;
-        info.kclass = kernel.kclass;
-        info.name = kernel.name;
-        info.index = kernel_index;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseStart(info, clock_);
-        }
-        RunMatrixKernel(kernel);
-        const SimStats delta = stats_ - before;
-        for (SimObserver* o : observers_) {
-            o->OnPhaseEnd(info, clock_, delta);
-        }
-        return delta;
-    }
-    RunMatrixKernel(kernel);
-    return stats_ - before;
 }
 
 } // namespace azul

@@ -1,25 +1,22 @@
 /**
  * @file
- * Vector/scalar-kernel engine: elementwise sweeps over the
- * distributed vector slots, dot products over the machine-wide scalar
- * tree, root scalar-register operations, and the broadcast timing
- * model (the "Vector Ops" of Fig 3/22).
+ * Vector/scalar-phase timing of the cycle engine (the "Vector Ops" of
+ * Fig 3/22). Values and op counts come from the shared semantics
+ * (phase_semantics.h), called per tile; this file adds only time:
+ * sweep cycles, the scalar tree's arrival times, root latencies, and
+ * the broadcast's timing and link activations.
  *
  * With cfg.sim_threads > 1 the per-tile work (elementwise sweeps, dot
  * partial sums) is sharded across the worker pool; each tile is
  * processed by exactly one worker and per-worker counters fold in
  * worker order, so results are bit-identical to the serial engine.
- * The cross-tile dot reduction and the tree timing sweeps stay on the
+ * The cross-tile dot fold and the tree timing sweeps stay on the
  * coordinating thread: their FP accumulation order is part of the
  * determinism contract.
  */
 #include <algorithm>
-#include <cmath>
 
-#include "sim/host_ops.h"
 #include "sim/machine.h"
-#include "util/logging.h"
-#include "util/simd.h"
 
 namespace azul {
 
@@ -33,7 +30,39 @@ PipelineDepth(const SimConfig& cfg)
                               1);
 }
 
+/** Root latency of scalar work: 4 cycles per FP divide or square
+ *  root, 1 per multiply. */
+Cycle
+RootLatency(const phase::RootWork& root)
+{
+    return static_cast<Cycle>(4 * root.divides + root.multiplies);
+}
+
 } // namespace
+
+template <typename Body>
+void
+Machine::ForEachItem(std::size_t items, Body&& body)
+{
+    if (!UseParallel(items)) {
+        for (std::size_t i = 0; i < items; ++i) {
+            body(i, stats_);
+        }
+        return;
+    }
+    pool_->ParallelFor(
+        items, [&](int worker, std::size_t begin, std::size_t end) {
+            SimStats& sink =
+                lanes_[static_cast<std::size_t>(worker)].stats;
+            for (std::size_t i = begin; i < end; ++i) {
+                body(i, sink);
+            }
+        });
+    for (EngineLane& lane : lanes_) {
+        stats_ += lane.stats;
+        lane.stats = SimStats{};
+    }
+}
 
 Cycle
 Machine::SweepCycles(Index slots, std::int32_t cost) const
@@ -51,236 +80,77 @@ Machine::SweepCycles(Index slots, std::int32_t cost) const
            PipelineDepth(cfg_);
 }
 
-Cycle
+void
 Machine::RunElementwise(const VectorKernel& kernel)
 {
-    const std::int32_t cost = IssueCost(cfg_);
-    const double base =
-        kernel.scale_bank >= 0
-            ? scalar_bank_[static_cast<std::size_t>(
-                  kernel.scale_bank)]
-            : kernel.use_const_scale
-                  ? kernel.const_scale
-                  : scalar_regs_[static_cast<std::size_t>(
-                        kernel.scale_reg)];
-    const double s = kernel.scale_sign * base;
-    // kScale multiplies by the scale (or its guarded reciprocal): a
-    // zero divisor yields factor 0, zeroing the destination — the
-    // Arnoldi lucky-breakdown guard (vector_ops_graph.h).
-    const double factor =
-        kernel.scale_invert ? (s == 0.0 ? 0.0 : 1.0 / s) : s;
-
+    const double scale = ElementwiseScale(kernel);
     // Per-tile sweep: touches only the tile's own slots plus `sink`,
-    // so distinct tiles run concurrently without races. The op switch
-    // and stats accounting are hoisted out of the element loop; the
-    // sweeps themselves are the shared SIMD-capable helpers
-    // (util/simd.h) both engines use. Per-element counts are batched
-    // (one op + two reads + one write per element), which sums to the
-    // same totals as counting inside the loop.
-    const auto sweep_tile = [&](std::size_t tile,
-                                SimStats& sink) -> Index {
-        TileStorage& storage = tiles_[tile];
+    // so distinct tiles run concurrently without races.
+    ForEachItem(runs_.size(), [&](std::size_t tile, SimStats& sink) {
+        const Index n = TileSlots(tile);
         if (!stats_.tile_ops.empty()) {
-            stats_.tile_ops[tile] +=
-                static_cast<std::uint64_t>(storage.NumSlots());
+            stats_.tile_ops[tile] += static_cast<std::uint64_t>(n);
         }
-        double* const dst =
-            storage.Operand(kernel.dst, kernel.dst_bank).data();
-        const double* const a =
-            storage.Operand(kernel.src_a, kernel.src_a_bank).data();
-        const double* const b2 =
-            storage.Operand(kernel.src_b, kernel.src_b_bank).data();
-        const auto n = static_cast<std::size_t>(storage.NumSlots());
-        switch (kernel.op) {
-          case VecOpKind::kAxpy:
-            simd::Axpy(dst, a, s, n, cfg_.simd);
-            sink.ops.fmac += n;
-            break;
-          case VecOpKind::kXpby:
-            simd::Xpby(dst, a, s, n, cfg_.simd);
-            sink.ops.fmac += n;
-            break;
-          case VecOpKind::kSub:
-            simd::Sub(dst, a, b2, n, cfg_.simd);
-            sink.ops.add += n;
-            break;
-          case VecOpKind::kCopy:
-            simd::Copy(dst, a, n, cfg_.simd);
-            sink.ops.mul += n;
-            break;
-          case VecOpKind::kDiagScale:
-            simd::Mul(dst, a, storage.jacobi_inv_diag.data(), n,
-                      cfg_.simd);
-            sink.ops.mul += n;
-            break;
-          case VecOpKind::kScale:
-            simd::Scale(dst, a, factor, n, cfg_.simd);
-            sink.ops.mul += n;
-            break;
-          default:
-            throw AzulError("bad elementwise kernel");
-        }
-        sink.sram_reads += 2 * n;
-        sink.sram_writes += n;
-        return storage.NumSlots();
-    };
-
+        sink += SweepSlots(kernel, scale,
+                           static_cast<std::size_t>(tile_begin_[tile]),
+                           static_cast<std::size_t>(n));
+    });
+    // Every tile sweeps in parallel; the fullest one sets the time.
     Index max_slots = 0;
-    if (UseParallel(tiles_.size())) {
-        std::vector<Index> worker_max(lanes_.size(), 0);
-        pool_->ParallelFor(
-            tiles_.size(),
-            [&](int worker, std::size_t begin, std::size_t end) {
-                const auto w = static_cast<std::size_t>(worker);
-                for (std::size_t tile = begin; tile < end; ++tile) {
-                    worker_max[w] = std::max(
-                        worker_max[w],
-                        sweep_tile(tile, lanes_[w].stats));
-                }
-            });
-        for (std::size_t w = 0; w < lanes_.size(); ++w) {
-            max_slots = std::max(max_slots, worker_max[w]);
-            stats_ += lanes_[w].stats;
-            lanes_[w].stats = SimStats{};
-        }
-    } else {
-        for (std::size_t tile = 0; tile < tiles_.size(); ++tile) {
-            max_slots = std::max(max_slots, sweep_tile(tile, stats_));
-        }
+    for (std::size_t tile = 0; tile < runs_.size(); ++tile) {
+        max_slots = std::max(max_slots, TileSlots(tile));
     }
-
-    return SweepCycles(max_slots, cost);
+    AdvanceVectorClock(SweepCycles(max_slots, IssueCost(cfg_)));
 }
 
-Cycle
+void
 Machine::RunDotReduce(const VectorKernel& kernel)
 {
     const std::int32_t cost = IssueCost(cfg_);
 
-    // Local partials, one per tree node (i.e. per tile). Each node's
-    // partial sums its own tile's slots in slot order regardless of
-    // thread count. Scratch lives in the kernel arena — steady-state
-    // dot products perform no heap allocation. Every entry is written
-    // by local_dot before it is read, so no zero fill is needed.
+    // Local partials, one per tree node (i.e. per tile), each ready
+    // after its tile's sweep. The timing scratch lives in the kernel
+    // arena — steady-state dot products perform no heap allocation.
+    // Every entry is written before it is read, so no zero fill.
     const std::size_t num_nodes = scalar_tree_.size();
     scratch_arena_.Reset();
-    double* const partial =
-        scratch_arena_.AllocateArray<double>(num_nodes);
-    Cycle* const ready = scratch_arena_.AllocateArray<Cycle>(num_nodes);
-    const auto local_dot = [&](std::size_t ni, SimStats& sink) {
-        const TileStorage& ts = tiles_[static_cast<std::size_t>(
-            scalar_tree_.tiles[ni])];
-        const auto& a = ts.Operand(kernel.src_a, kernel.src_a_bank);
-        const auto& b = ts.Operand(kernel.src_b, kernel.src_b_bank);
-        double acc = 0.0;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            acc += a[i] * b[i];
-        }
-        sink.ops.fmac += a.size();
-        sink.sram_reads += 2 * a.size();
+    Cycle* const done = scratch_arena_.AllocateArray<Cycle>(num_nodes);
+    ForEachItem(num_nodes, [&](std::size_t node, SimStats& sink) {
+        const auto tile =
+            static_cast<std::size_t>(scalar_tree_.tiles[node]);
+        const Index n = TileSlots(tile);
         if (!stats_.tile_ops.empty()) {
-            stats_.tile_ops[static_cast<std::size_t>(
-                scalar_tree_.tiles[ni])] += a.size();
+            stats_.tile_ops[tile] += static_cast<std::uint64_t>(n);
         }
-        partial[ni] = acc;
-        ready[ni] = SweepCycles(static_cast<Index>(a.size()), cost);
-    };
-    if (UseParallel(num_nodes)) {
-        pool_->ParallelFor(
-            num_nodes,
-            [&](int worker, std::size_t begin, std::size_t end) {
-                const auto w = static_cast<std::size_t>(worker);
-                for (std::size_t ni = begin; ni < end; ++ni) {
-                    local_dot(ni, lanes_[w].stats);
-                }
-            });
-        for (EngineLane& lane : lanes_) {
-            stats_ += lane.stats;
-            lane.stats = SimStats{};
-        }
-    } else {
-        for (std::size_t ni = 0; ni < num_nodes; ++ni) {
-            local_dot(ni, stats_);
-        }
-    }
-    // The functional dot accumulates in ascending node order on the
-    // coordinating thread — FP addition does not commute, so this
-    // order is fixed by the determinism contract.
-    double dot = 0.0;
-    for (std::size_t ni = 0; ni < num_nodes; ++ni) {
-        dot += partial[ni];
-    }
+        sink += DotPartialOfNode(kernel, node);
+        done[node] = SweepCycles(n, cost);
+    });
 
     // Upward reduction: children precede parents in completion; tree
     // node indices have parents before children, so sweep backwards.
-    Cycle* const done = scratch_arena_.AllocateArray<Cycle>(num_nodes);
-    std::copy(ready, ready + num_nodes, done);
     for (std::size_t ni = num_nodes; ni-- > 0;) {
         for (std::int32_t ci : scalar_tree_children_[ni]) {
-            const Cycle arrival =
-                done[static_cast<std::size_t>(ci)] + 1 +
-                static_cast<Cycle>(
-                    geom_.HopDistance(
-                        scalar_tree_.tiles[static_cast<std::size_t>(
-                            ci)],
-                        scalar_tree_.tiles[ni]) *
-                    cfg_.hop_latency);
-            done[ni] = std::max(done[ni], arrival) + 1;
-            stats_.ops.Count(OpKind::kAdd);
-            stats_.ops.Count(OpKind::kSend);
-            ++stats_.messages;
-            stats_.link_activations += static_cast<std::uint64_t>(
+            const auto hops = static_cast<std::uint64_t>(
                 geom_.HopDistance(
                     scalar_tree_.tiles[static_cast<std::size_t>(ci)],
                     scalar_tree_.tiles[ni]));
+            const Cycle arrival =
+                done[static_cast<std::size_t>(ci)] + 1 +
+                hops * static_cast<Cycle>(cfg_.hop_latency);
+            done[ni] = std::max(done[ni], arrival) + 1;
+            stats_.link_activations += hops;
         }
     }
 
-    // Root post-ops: optional sqrt (norms), quotient, register
-    // copies, then broadcast. dot_out == kCount suppresses the
-    // register write (the result lands in the scalar bank only).
-    const double result = kernel.post_sqrt ? std::sqrt(dot) : dot;
-    int broadcast_values = 0;
-    Cycle root_done = done[0];
-    if (kernel.post_sqrt) {
-        stats_.ops.Count(OpKind::kMul);
-        root_done += 4; // FP sqrt latency at the root
-    }
-    if (kernel.dot_out != ScalarReg::kCount) {
-        scalar_regs_[static_cast<std::size_t>(kernel.dot_out)] =
-            result;
-        ++broadcast_values;
-    }
-    if (kernel.dot_out_bank >= 0) {
-        scalar_bank_[static_cast<std::size_t>(kernel.dot_out_bank)] =
-            result;
-        ++broadcast_values;
-    }
-    if (broadcast_values == 0) {
-        broadcast_values = 1;
-    }
-    if (kernel.post_divide) {
-        const double num =
-            scalar_regs_[static_cast<std::size_t>(kernel.div_num)];
-        const double q =
-            kernel.divide_dot_by_num ? dot / num : num / dot;
-        scalar_regs_[static_cast<std::size_t>(kernel.div_out)] = q;
-        stats_.ops.Count(OpKind::kMul);
-        root_done += 4; // FP divide latency at the root
-        ++broadcast_values;
-    }
-    if (kernel.copy_dot_to) {
-        scalar_regs_[static_cast<std::size_t>(kernel.dot_copy_reg)] =
-            dot;
-        ++broadcast_values;
-    }
-
-    return BroadcastScalars(root_done, broadcast_values);
+    const phase::RootWork root = FoldDot(kernel);
+    BroadcastScalars(done[0] + RootLatency(root), root);
 }
 
-Cycle
-Machine::BroadcastScalars(Cycle root_done, int values)
+void
+Machine::BroadcastScalars(Cycle root_done, const phase::RootWork& root)
 {
+    ChargeBroadcast(root);
+    const auto values = static_cast<Cycle>(root.broadcast_values);
     const std::size_t num_nodes = scalar_tree_.size();
     // Callers are done with their own arena scratch once root_done is
     // computed, so the arena can be rewound here. down[ci] is written
@@ -292,83 +162,38 @@ Machine::BroadcastScalars(Cycle root_done, int values)
     Cycle finish = root_done;
     for (std::size_t ni = 0; ni < num_nodes; ++ni) {
         for (std::int32_t ci : scalar_tree_children_[ni]) {
-            const std::uint64_t hops = static_cast<std::uint64_t>(
+            const auto hops = static_cast<std::uint64_t>(
                 geom_.HopDistance(
                     scalar_tree_.tiles[ni],
                     scalar_tree_.tiles[static_cast<std::size_t>(ci)]));
             down[static_cast<std::size_t>(ci)] =
-                down[ni] + 1 +
-                hops * static_cast<Cycle>(cfg_.hop_latency) +
-                static_cast<Cycle>(values - 1);
-            stats_.ops.send += static_cast<std::uint64_t>(values);
-            stats_.messages += static_cast<std::uint64_t>(values);
-            stats_.link_activations +=
-                hops * static_cast<std::uint64_t>(values);
+                down[ni] + 1 + hops * static_cast<Cycle>(cfg_.hop_latency) +
+                (values - 1);
+            stats_.link_activations += hops * values;
             finish = std::max(finish,
                               down[static_cast<std::size_t>(ci)]);
         }
     }
-    return finish;
+    AdvanceVectorClock(finish);
 }
 
-Cycle
+void
 Machine::RunScalarPhase(const ScalarOp& op)
 {
-    const auto reg = [this](ScalarReg r) {
-        return scalar_regs_[static_cast<std::size_t>(r)];
-    };
-    double out = 0.0;
-    Cycle root_done = 0;
-    switch (op.kind) {
-      case ScalarOp::Kind::kCopy:
-        out = reg(op.a);
-        root_done = 1;
-        break;
-      case ScalarOp::Kind::kDiv:
-        out = reg(op.a) / reg(op.b);
-        stats_.ops.Count(OpKind::kMul);
-        root_done = 4; // FP divide latency at the root
-        break;
-      case ScalarOp::Kind::kMulDiv:
-        out = (reg(op.a) / reg(op.b)) * (reg(op.c) / reg(op.d));
-        stats_.ops.Count(OpKind::kMul);
-        stats_.ops.Count(OpKind::kMul);
-        stats_.ops.Count(OpKind::kMul);
-        root_done = 9; // two divides + a multiply
-        break;
-    }
-    scalar_regs_[static_cast<std::size_t>(op.out)] = out;
-    return BroadcastScalars(root_done, 1);
+    const phase::RootWork root = phase::Scalar(op, scalar_regs_.data());
+    // Even a register copy takes one cycle at the root.
+    BroadcastScalars(std::max<Cycle>(1, RootLatency(root)), root);
 }
 
-Cycle
+void
 Machine::RunHostPhase(const HostOp& op)
 {
-    const double out = RunHostOp(op, scalar_bank_);
-    scalar_regs_[static_cast<std::size_t>(op.out)] = out;
+    const phase::RootWork root =
+        phase::Host(op, scalar_regs_.data(), scalar_bank_);
     // Dense O(m^2) arithmetic at the host/root: ~2 FMACs per Givens
-    // rotation application plus the back-substitution triangle. The
-    // m entries of y and the residual estimate broadcast together.
+    // rotation application plus the back-substitution triangle.
     const auto m = static_cast<Cycle>(op.restart);
-    const Cycle root_done = 2 * m * (m + 1) + m * (m + 1) / 2;
-    stats_.ops.fmac +=
-        static_cast<std::uint64_t>(op.restart) *
-        static_cast<std::uint64_t>(op.restart + 1);
-    return BroadcastScalars(root_done,
-                            1 + static_cast<int>(op.restart));
-}
-
-Cycle
-Machine::RunVectorKernel(const VectorKernel& kernel)
-{
-    const Cycle duration = kernel.op == VecOpKind::kDotReduce
-                               ? RunDotReduce(kernel)
-                               : RunElementwise(kernel);
-    clock_ += duration;
-    stats_.cycles += duration;
-    stats_.class_cycles[static_cast<std::size_t>(
-        KernelClass::kVectorOp)] += duration;
-    return duration;
+    BroadcastScalars(2 * m * (m + 1) + m * (m + 1) / 2, root);
 }
 
 } // namespace azul

@@ -1,24 +1,18 @@
 /**
  * @file
- * Portable SIMD elementwise kernels shared by both execution engines.
+ * Portable SIMD elementwise kernels shared by both execution engines
+ * (through sim/phase_semantics.h).
  *
- * Each helper has two code paths selected by the `simd` argument
- * (SimConfig::simd, env AZUL_SIMD): a `#pragma omp simd` loop the
- * compiler may vectorize, and a plain scalar loop. Only loops whose
- * lanes are fully independent carry the pragma — no reductions, no
- * reassociation — so the two paths perform the identical FP64
- * operations per element and are bit-identical by construction
- * (tests/test_parallel_sim.cc, tests/test_engine_functional.cc).
- * Order-sensitive folds (dot partials, reduce-tree sums) must NOT go
- * through these helpers; they stay serial in the engines to preserve
- * the canonical fold order (docs/PERFORMANCE.md, "Fold-order
- * contract").
+ * Each helper is a `#pragma omp simd` loop the compiler may
+ * vectorize. Only loops whose lanes are fully independent carry the
+ * pragma — no reductions, no reassociation — so vectorization cannot
+ * change a single FP64 result. Order-sensitive folds (dot partials,
+ * reduce-tree sums) must NOT go through these helpers; they stay
+ * serial to preserve the canonical fold order (docs/PERFORMANCE.md,
+ * "Fold-order contract").
  *
  * The pragmas need no OpenMP runtime: the build adds -fopenmp-simd
- * when available, and compilers without it ignore the pragmas. Both
- * engines call the same inline helpers, so their elementwise
- * arithmetic is structurally identical — one more guarantee behind
- * the cross-engine bit-identity contract.
+ * when available, and compilers without it ignore the pragmas.
  */
 #ifndef AZUL_UTIL_SIMD_H_
 #define AZUL_UTIL_SIMD_H_
@@ -29,99 +23,61 @@ namespace azul::simd {
 
 /** dst[i] += s * a[i] */
 inline void
-Axpy(double* dst, const double* a, double s, std::size_t n, bool simd)
+Axpy(double* dst, const double* a, double s, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] += s * a[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] += s * a[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] += s * a[i];
     }
 }
 
 /** dst[i] = a[i] + s * dst[i] */
 inline void
-Xpby(double* dst, const double* a, double s, std::size_t n, bool simd)
+Xpby(double* dst, const double* a, double s, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] + s * dst[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] + s * dst[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = a[i] + s * dst[i];
     }
 }
 
 /** dst[i] = a[i] - b[i] */
 inline void
-Sub(double* dst, const double* a, const double* b, std::size_t n,
-    bool simd)
+Sub(double* dst, const double* a, const double* b, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] - b[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] - b[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = a[i] - b[i];
     }
 }
 
 /** dst[i] = a[i] */
 inline void
-Copy(double* dst, const double* a, std::size_t n, bool simd)
+Copy(double* dst, const double* a, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = a[i];
     }
 }
 
 /** dst[i] = s * a[i] (Arnoldi basis normalization) */
 inline void
-Scale(double* dst, const double* a, double s, std::size_t n, bool simd)
+Scale(double* dst, const double* a, double s, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = s * a[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = s * a[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = s * a[i];
     }
 }
 
 /** dst[i] = a[i] * b[i] (diagonal preconditioner scale) */
 inline void
-Mul(double* dst, const double* a, const double* b, std::size_t n,
-    bool simd)
+Mul(double* dst, const double* a, const double* b, std::size_t n)
 {
-    if (simd) {
 #pragma omp simd
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] * b[i];
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = a[i] * b[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = a[i] * b[i];
     }
 }
 

@@ -392,46 +392,6 @@ TEST(AzulSystem, UpdateMatrixHandlesPatternDriftAndSolves)
     EXPECT_VECTOR_NEAR(SpMV(a2, rep.run.x), b, 1e-6);
 }
 
-TEST(AzulSystemCreate, DeprecatedFlatAliasesStillDriveTheSolver)
-{
-    // Pre-SolverSpec callers set the flat fields; Create must
-    // canonicalize them into the nested spec and mirror back, so
-    // both old writers and old readers keep working for one release.
-    const CsrMatrix a = RandomGeometricLaplacian(200, 7.0, 91);
-    AzulOptions opts = SmallOptions();
-    opts.solver = SolverKind::kBiCgStab;
-    opts.tol = 1e-7;
-    StatusOr<AzulSystem> sys = AzulSystem::Create(a, opts);
-    ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-    EXPECT_EQ(sys->options().spec.method, SolverKind::kBiCgStab);
-    EXPECT_DOUBLE_EQ(sys->options().spec.tol, 1e-7);
-    EXPECT_EQ(sys->options().solver, SolverKind::kBiCgStab);
-    const Vector b = RandomVector(a.rows(), 93);
-    const SolveReport rep = sys->Solve(b);
-    ASSERT_TRUE(rep.run.converged);
-    EXPECT_NE(rep.ToJson().find("\"method\":\"bicgstab\""),
-              std::string::npos);
-}
-
-TEST(AzulSystemCreate, FlatAndSpecConflictIsRejected)
-{
-    // Setting BOTH the deprecated alias and the spec field to
-    // different non-default values is ambiguous — a typed rejection
-    // naming both fields, not a silent precedence rule.
-    const CsrMatrix a = RandomGeometricLaplacian(100, 7.0, 95);
-    AzulOptions opts = SmallOptions();
-    opts.solver = SolverKind::kBiCgStab;
-    opts.spec.method = SolverKind::kGmres;
-    const StatusOr<AzulSystem> sys = AzulSystem::Create(a, opts);
-    ASSERT_FALSE(sys.ok());
-    EXPECT_EQ(sys.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(sys.status().message().find("conflicts"),
-              std::string::npos)
-        << sys.status().ToString();
-    EXPECT_NE(sys.status().message().find("solver"),
-              std::string::npos);
-}
-
 TEST(AzulSystemCreate, SpecValidationRejectsBadGmresRestart)
 {
     const CsrMatrix a = RandomGeometricLaplacian(100, 7.0, 97);

@@ -156,7 +156,8 @@ TEST(Dalorex, SlowerThanAzulPeSameMapping)
     in.geom = base.geometry();
     const SolverProgram prog = BuildSolverProgram(SolverKind::kPcg, in);
     Machine machine(base, &prog);
-    const SolverRunResult azul_run = machine.RunPcg(b, 1e-8, 50);
+    const SolverRunResult azul_run =
+        SolverDriver().Run(machine, b, 1e-8, 50);
 
     EXPECT_GT(azul_run.Gflops(base.clock_ghz), 2.0 * dal.gflops);
 }

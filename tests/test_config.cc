@@ -385,54 +385,5 @@ TEST(ApplyEnvOverridesWarm, ReadsAzulWarmStartAndIgnoresGarbage)
     }
 }
 
-TEST(SimdFromEnv, ParsesTogglesAndIgnoresGarbage)
-{
-    for (const char* on : {"1", "true", "on"}) {
-        ::setenv("AZUL_SIMD", on, 1);
-        EXPECT_TRUE(SimdFromEnv(false)) << "'" << on << "'";
-    }
-    for (const char* off : {"0", "false", "off"}) {
-        ::setenv("AZUL_SIMD", off, 1);
-        EXPECT_FALSE(SimdFromEnv(true)) << "'" << off << "'";
-    }
-    ::setenv("AZUL_SIMD", "sideways", 1);
-    EXPECT_TRUE(SimdFromEnv(true)); // unrecognized: fallback stands
-    EXPECT_FALSE(SimdFromEnv(false));
-    ::unsetenv("AZUL_SIMD");
-    EXPECT_TRUE(SimdFromEnv(true)); // unset: fallback stands
-    EXPECT_FALSE(SimdFromEnv(false));
-}
-
-TEST(ApplyEnvOverridesSimd, RoundTripsAzulSimd)
-{
-    {
-        AzulOptions opts;
-        EXPECT_TRUE(opts.sim.simd); // on by default
-        ::setenv("AZUL_SIMD", "0", 1);
-        ApplyEnvOverrides(opts);
-        EXPECT_FALSE(opts.sim.simd);
-        ::setenv("AZUL_SIMD", "1", 1);
-        opts = AzulOptions{};
-        opts.sim.simd = false;
-        ApplyEnvOverrides(opts); // explicit on wins over the field
-        EXPECT_TRUE(opts.sim.simd);
-    }
-    {
-        AzulOptions opts;
-        ::unsetenv("AZUL_SIMD");
-        opts.sim.simd = false;
-        ApplyEnvOverrides(opts); // unset: no-op
-        EXPECT_FALSE(opts.sim.simd);
-    }
-}
-
-TEST(SimConfigToString, MentionsSimdOnlyWhenDisabled)
-{
-    SimConfig cfg;
-    EXPECT_EQ(cfg.ToString().find("no-simd"), std::string::npos);
-    cfg.simd = false;
-    EXPECT_NE(cfg.ToString().find("no-simd"), std::string::npos);
-}
-
 } // namespace
 } // namespace azul

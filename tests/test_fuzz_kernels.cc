@@ -985,7 +985,7 @@ TEST(TileOpsStats, PopulatedAndConsistent)
     const SolverProgram program = BuildSolverProgram(SolverKind::kPcg, in);
     Machine machine(cfg, &program);
     const SolverRunResult run =
-        machine.RunPcg(RandomVector(a.rows(), 7), 0.0, 3);
+        SolverDriver().Run(machine, RandomVector(a.rows(), 7), 0.0, 3);
     ASSERT_EQ(run.stats.tile_ops.size(), 16u);
     std::uint64_t total = 0;
     for (std::uint64_t t : run.stats.tile_ops) {

@@ -37,6 +37,14 @@ struct GeneratorCase {
     std::function<CsrMatrix()> make;
 };
 
+/** Names the case in gtest output. Without it gtest prints the raw
+ *  bytes, which hold pointers and so differ on every run. */
+void
+PrintTo(const GeneratorCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class GeneratorSpdTest
     : public ::testing::TestWithParam<GeneratorCase> {};
 

@@ -86,7 +86,8 @@ TEST(Mesh, MachineFunctionallyCorrect)
     const SolverProgram program = BuildSolverProgram(SolverKind::kPcg, in);
     Machine machine(cfg, &program);
     const Vector b = azul::testing::RandomVector(a.rows(), 3);
-    const SolverRunResult run = machine.RunPcg(b, 1e-8, 500);
+    const SolverRunResult run =
+        SolverDriver().Run(machine, b, 1e-8, 500);
     ASSERT_TRUE(run.converged);
     EXPECT_VECTOR_NEAR(SpMV(a, run.x), b, 1e-6);
 }
@@ -116,8 +117,8 @@ TEST(Mesh, TorusFasterOnWrapHeavyTraffic)
         in.geom = cfg.geometry();
         const SolverProgram program = BuildSolverProgram(SolverKind::kPcg, in);
         Machine machine(cfg, &program);
-        const SolverRunResult run = machine.RunPcg(
-            azul::testing::RandomVector(a.rows(), 5), 0.0, 5);
+        const SolverRunResult run = SolverDriver().Run(
+            machine, azul::testing::RandomVector(a.rows(), 5), 0.0, 5);
         return run.stats.cycles;
     };
     EXPECT_LT(cycles(true), cycles(false));

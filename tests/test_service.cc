@@ -695,6 +695,60 @@ TEST_F(ServicePersistence, StructureMismatchDegradesToCold)
         std::string::npos);
 }
 
+// ---- Concurrency: solves beside value updates on one session ----------------
+
+TEST(ServiceConcurrency, SolvesBesideUpdateValuesOnOneSession)
+{
+    // Submit checks each rhs against the session's row count without
+    // the session lock, while a worker's UpdateValues replaces the
+    // session matrix. One client thread streams updates and another
+    // streams solves into the same session; the TSan CI job runs this
+    // and must report no data race. Every request must succeed.
+    const CsrMatrix a = RandomGeometricLaplacian(150, 7.0, 131);
+    AzulOptions opts;
+    opts.engine = EngineKind::kFunctional;
+    opts.sim.grid_width = 2;
+    opts.sim.grid_height = 2;
+    ServiceOptions sopts;
+    sopts.num_threads = 2;
+    std::unique_ptr<AzulService> svc = *AzulService::Create(sopts);
+    const SessionId id = *svc->OpenSession(a, opts, "shared");
+
+    constexpr int kUpdates = 12;
+    constexpr int kSolves = 24;
+    std::atomic<int> failures{0};
+    const auto wait_ok = [&](const StatusOr<RequestId>& r,
+                             bool solve) {
+        if (!r.ok()) {
+            ++failures;
+            return;
+        }
+        const StatusOr<SolveResponse> resp = svc->Wait(*r);
+        if (!resp.ok() || !resp->status.ok() ||
+            (solve && !resp->report.run.converged)) {
+            ++failures;
+        }
+    };
+    std::thread updater([&] {
+        for (int i = 0; i < kUpdates; ++i) {
+            const CsrMatrix scaled = Scaled(a, 1.1 + 0.1 * i);
+            wait_ok(svc->SubmitUpdateValues(id, scaled), false);
+        }
+    });
+    std::thread solver([&] {
+        for (std::uint64_t seed = 300; seed < 300 + kSolves; ++seed) {
+            const Vector b = RandomVector(a.rows(), seed);
+            wait_ok(svc->SubmitSolve(id, b), true);
+        }
+    });
+    updater.join();
+    solver.join();
+    EXPECT_EQ(failures.load(), 0);
+    const ServiceStats stats = svc->stats();
+    EXPECT_EQ(stats.submitted, kUpdates + kSolves);
+    EXPECT_EQ(stats.completed, kUpdates + kSolves);
+}
+
 // ---- Stress: mixed tenants under the 8-thread scheduler ---------------------
 
 TEST(ServiceStress, MixedTrafficMatchesSerialReferences)

@@ -83,7 +83,8 @@ TEST(SimRobustness, ExtremeLatenciesPreserveFunctionality)
     Ctx ctx(brutal);
     Machine machine(ctx.cfg, &ctx.program);
     const Vector b = RandomVector(ctx.a.rows(), 3);
-    const SolverRunResult run = machine.RunPcg(b, 1e-8, 500);
+    const SolverRunResult run =
+        SolverDriver().Run(machine, b, 1e-8, 500);
     ASSERT_TRUE(run.converged);
     EXPECT_VECTOR_NEAR(SpMV(ctx.a, run.x), b, 1e-6);
 }
@@ -136,7 +137,8 @@ TEST(SimRobustness, SingleTileMachineWorks)
     const SolverProgram program = BuildSolverProgram(SolverKind::kPcg, in);
     Machine machine(cfg, &program);
     const Vector b = RandomVector(a.rows(), 6);
-    const SolverRunResult run = machine.RunPcg(b, 1e-8, 500);
+    const SolverRunResult run =
+        SolverDriver().Run(machine, b, 1e-8, 500);
     ASSERT_TRUE(run.converged);
     EXPECT_EQ(run.stats.link_activations, 0u);
     EXPECT_VECTOR_NEAR(SpMV(a, run.x), b, 1e-6);
@@ -166,7 +168,8 @@ TEST(SimRobustness, NonSquareGridWorks)
     const SolverProgram program = BuildSolverProgram(SolverKind::kPcg, in);
     Machine machine(cfg, &program);
     const Vector b = RandomVector(a.rows(), 8);
-    const SolverRunResult run = machine.RunPcg(b, 1e-8, 500);
+    const SolverRunResult run =
+        SolverDriver().Run(machine, b, 1e-8, 500);
     ASSERT_TRUE(run.converged);
     EXPECT_VECTOR_NEAR(SpMV(a, run.x), b, 1e-6);
 }
@@ -177,8 +180,8 @@ TEST(SimRobustness, DeterministicAcrossRuns)
     const Vector b = RandomVector(ctx.a.rows(), 9);
     Machine m1(ctx.cfg, &ctx.program);
     Machine m2(ctx.cfg, &ctx.program);
-    const SolverRunResult r1 = m1.RunPcg(b, 1e-8, 100);
-    const SolverRunResult r2 = m2.RunPcg(b, 1e-8, 100);
+    const SolverRunResult r1 = SolverDriver().Run(m1, b, 1e-8, 100);
+    const SolverRunResult r2 = SolverDriver().Run(m2, b, 1e-8, 100);
     EXPECT_EQ(r1.stats.cycles, r2.stats.cycles);
     EXPECT_EQ(r1.stats.messages, r2.stats.messages);
     EXPECT_EQ(r1.x, r2.x);
